@@ -1,17 +1,19 @@
 """Pure-Python reference kernels for the differential test harness.
 
-The vectorized scheduler kernels in :mod:`repro.schedulers.base` and
-:mod:`repro.schedulers.peft` replace these loop implementations on the hot
-path, but the loops remain the *semantic definition* of each computation:
+The fast scheduler kernels replace these loop implementations on the hot
+path: the numpy rank kernels in :mod:`repro.schedulers.base`, PEFT's numpy
+optimistic cost table in :mod:`repro.schedulers.peft`, and ``eft_scan``, a
+scalar loop over the per-task cost row of the context.  The loops here
+remain the *semantic definition* of each computation:
 
-* every vectorized kernel must produce bit-identical results to its
+* every fast kernel must produce bit-identical results to its
   reference over arbitrary (workflow, cluster) inputs;
 * ``tests/test_differential.py`` enforces that by fuzzing every scheduler
   in the zoo with :func:`reference_mode` on and off and diffing the
   resulting schedules exactly (device, start bits, finish bits).
 
 Policy for contributors: **never** change a reference kernel and its
-vectorized twin in the same review step.  Land the semantic change here
+fast twin in the same review step.  Land the semantic change here
 first (the differential suite then fails loudly against the stale fast
 path), then update the vectorized kernel until the suite is green again.
 
@@ -25,7 +27,7 @@ from contextlib import contextmanager
 from typing import Dict, Iterator
 
 #: When True, SchedulingContext and the schedulers route every kernel
-#: through this module instead of the vectorized fast path.
+#: through this module instead of the fast path.
 _ACTIVE = False
 
 
@@ -129,7 +131,7 @@ def eft_placement(
     The data-ready time accounts for predecessor finishes plus edge
     transfers plus initial-input staging; the start then respects the
     device timeline with optional insertion.  This scalar kernel is both
-    the reference for the vectorized :func:`repro.schedulers.base.eft_scan`
+    the reference for the row-wise :func:`repro.schedulers.base.eft_scan`
     and the production path for single-device queries.
     """
     dst_uid = device.uid

@@ -6,6 +6,12 @@ staging estimates, and the classical rank helpers — so that every algorithm
 in the zoo prices placements identically and differences in results come
 from *policy*, not from divergent cost models.
 
+The context holds one cost representation: a :class:`TaskRow` per task,
+built once in ``__init__`` and aligned element-for-element with
+``eligible_devices(task)``.  Every estimate lookup and every kernel reads
+that row.  The rank kernels and PEFT's optimistic cost table stay numpy
+reductions; :func:`eft_scan` is a scalar loop over the row.
+
 Estimates can be systematically perturbed (``estimate_error_cv``) to model
 bad profiling: the perturbation factor is drawn once per task and applied
 across all devices, which is how mis-calibrated profilers actually err.
@@ -14,7 +20,7 @@ across all devices, which is how mis-calibrated profilers actually err.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -23,10 +29,32 @@ from repro.platform.devices import Device
 from repro.schedulers import _reference
 from repro.schedulers.schedule import Schedule
 from repro.workflows.graph import Workflow
+from repro.workflows.task import DataFile
 
 
 class SchedulingError(RuntimeError):
     """Raised when no feasible placement exists for some task."""
+
+
+class TaskRow(NamedTuple):
+    """One task's costs, aligned element-for-element with its devices.
+
+    ``devices[i]`` (uid ``uids[i]``, on node ``nodes[i]``, at position
+    ``alive_idx[i]`` of the cluster's alive devices) runs the task in
+    ``exec[i]`` seconds after staging its initial inputs in
+    ``staging[i]`` seconds.  ``index`` maps a uid back to its position.
+    All values are plain Python floats and ints.  Tasks eligible on the
+    same device specs share their device-side lists; treat every list as
+    read-only.
+    """
+
+    devices: List[Device]
+    uids: List[str]
+    index: Dict[str, int]
+    exec: List[float]
+    nodes: List[str]
+    staging: List[float]
+    alive_idx: List[int]
 
 
 class SchedulingContext:
@@ -48,7 +76,7 @@ class SchedulingContext:
         model = cluster.execution_model
 
         # Per-task systematic estimate error (one factor per task).
-        self._error: Dict[str, float] = {}
+        error: Dict[str, float] = {}
         if estimate_error_cv > 0:
             if rng is None:
                 raise ValueError(
@@ -57,80 +85,79 @@ class SchedulingContext:
                 )
             sigma2 = np.log(1.0 + estimate_error_cv ** 2)
             for name in workflow.tasks:
-                self._error[name] = float(
+                error[name] = float(
                     rng.lognormal(mean=-0.5 * sigma2, sigma=np.sqrt(sigma2))
                 )
 
+        self._node_of: Dict[str, str] = {
+            d.uid: d.node.name for n in cluster.nodes for d in n.devices
+        }
+        alive = cluster.alive_devices()
+        self._n_alive = len(alive)
         # Estimates are computed once per (task, distinct spec) and fanned
         # out to every device sharing the spec: presets instantiate many
         # devices from a handful of catalogue specs, so this collapses the
         # model-call count from |tasks| x |devices| to |tasks| x |specs|.
-        alive = cluster.alive_devices()
-        self._eligible: Dict[str, List[Device]] = {}
-        self._exec: Dict[str, Dict[str, float]] = {}
-        unset = object()
+        specs = list({id(d.spec): d.spec for d in alive}.values())
+        spec_pos = {id(spec): k for k, spec in enumerate(specs)}
+        dev_spec = [spec_pos[id(d.spec)] for d in alive]
+        # Device-side lists per eligible-spec mask, shared between rows.
+        layouts: Dict[tuple, tuple] = {}
+        self._rows: Dict[str, TaskRow] = {}
         for name, task in workflow.tasks.items():
-            factor = self._error.get(name, 1.0)
-            devices: List[Device] = []
-            exec_row: Dict[str, float] = {}
-            # One estimate per (task, distinct spec), fanned out to every
-            # device sharing the spec: presets instantiate many devices
-            # from a handful of catalogue specs, so this collapses the
-            # model-call count from |tasks| x |devices| to |tasks| x
-            # |specs| while keeping cluster device order.
-            per_spec: Dict[int, object] = {}
-            for d in alive:
-                est = per_spec.get(id(d.spec), unset)
-                if est is unset:
-                    spec = d.spec
-                    if spec.memory_gb < task.memory_gb:
-                        est = None
-                    else:
-                        try:
-                            est = model.estimate(task, spec) * factor
-                        except ValueError:  # ineligible device class
-                            est = None
-                    per_spec[id(spec)] = est
-                if est is None:
-                    continue
-                devices.append(d)
-                exec_row[d.uid] = est
+            factor = error.get(name, 1.0)
+            ests: List[Optional[float]] = []
+            for spec in specs:
+                est = None
+                if spec.memory_gb >= task.memory_gb:
+                    try:
+                        est = model.estimate(task, spec) * factor
+                    except ValueError:  # ineligible device class
+                        pass
+                ests.append(est)
+            mask = tuple(est is not None for est in ests)
+            layout = layouts.get(mask)
+            if layout is None:
+                keep = [i for i, k in enumerate(dev_spec) if mask[k]]
+                uids = [alive[i].uid for i in keep]
+                layout = layouts[mask] = (
+                    [alive[i] for i in keep],
+                    uids,
+                    {uid: i for i, uid in enumerate(uids)},
+                    [self._node_of[uid] for uid in uids],
+                    keep,
+                )
+            devices, uids, index, nodes, keep = layout
             if not devices:
                 raise SchedulingError(
                     f"task {name!r} has no eligible device on cluster "
                     f"{cluster.name!r} (classes {task.eligible_classes()}, "
                     f"memory {task.memory_gb} GB)"
                 )
-            self._eligible[name] = devices
-            self._exec[name] = exec_row
+            # Every device on a node stages identically: one estimate per
+            # distinct node, fanned out in device order.
+            initial = [workflow.files[f] for f in task.inputs]
+            initial = [f for f in initial if f.initial]
+            if initial:
+                per_node = {
+                    n: self._staging_estimate(initial, n)
+                    for n in dict.fromkeys(nodes)
+                }
+                staging = [per_node[n] for n in nodes]
+            else:
+                staging = [0.0] * len(nodes)
+            exec_row = [ests[dev_spec[i]] for i in keep]
+            self._rows[name] = TaskRow(
+                devices, uids, index, exec_row, nodes, staging, keep
+            )
 
-        # Hot-path memo tables: filled lazily, keyed by names/uids only.
-        self._node_of: Dict[str, str] = {
-            d.uid: d.node.name for n in cluster.nodes for d in n.devices
-        }
+        # Memo tables, keyed by names only, for values derived from the rows.
         self._mean_exec: Dict[str, float] = {}
         self._best_exec: Dict[str, float] = {}
         self._edge_mb: Dict[tuple, float] = {}
         self._mean_comm: Dict[tuple, float] = {}
         self._pair_coeff: Dict[tuple, tuple] = {}
-        self._staging: Dict[tuple, float] = {}
-
-        # Vectorized-kernel infrastructure (all lazy; see eft_scan):
-        # node-name ordering, per-task device/exec arrays, per-task staging
-        # vectors over nodes, per-(edge, src-node) communication row vectors
-        # and the node-pair latency/bandwidth matrices behind them.
-        self._node_names: List[str] = [n.name for n in cluster.nodes]
-        self._node_index: Dict[str, int] = {
-            name: i for i, name in enumerate(self._node_names)
-        }
-        self._task_vec: Dict[str, tuple] = {}
-        self._staging_vecs: Dict[str, np.ndarray] = {}
-        self._comm_rows: Dict[tuple, Optional[np.ndarray]] = {}
-        self._comm_row_lists: Dict[tuple, List[float]] = {}
-        self._lat_mat: Optional[np.ndarray] = None
-        self._bw_mat: Optional[np.ndarray] = None
-        self._dbw_vec: Optional[np.ndarray] = None
-        self._links_complete = True
+        self._comm_rows: Dict[tuple, List[float]] = {}
         self._rank_arrays_cache: Optional[tuple] = None
 
         # Cluster-average communication figures for rank computations.
@@ -149,12 +176,13 @@ class SchedulingContext:
 
     def eligible_devices(self, task_name: str) -> List[Device]:
         """Devices this task may run on (affinity, memory and liveness)."""
-        return self._eligible[task_name]
+        return self._rows[task_name].devices
 
     def exec_time(self, task_name: str, device_uid: str) -> float:
         """Estimated runtime of a task on a device."""
         try:
-            return self._exec[task_name][device_uid]
+            row = self._rows[task_name]
+            return row.exec[row.index[device_uid]]
         except KeyError:
             raise SchedulingError(
                 f"task {task_name!r} is not eligible on device {device_uid!r}"
@@ -164,7 +192,7 @@ class SchedulingContext:
         """Mean runtime over eligible devices (HEFT's w-bar); memoized."""
         cached = self._mean_exec.get(task_name)
         if cached is None:
-            cached = float(np.mean(list(self._exec[task_name].values())))
+            cached = float(np.mean(self._rows[task_name].exec))
             self._mean_exec[task_name] = cached
         return cached
 
@@ -172,14 +200,14 @@ class SchedulingContext:
         """Best runtime over eligible devices; memoized."""
         cached = self._best_exec.get(task_name)
         if cached is None:
-            cached = min(self._exec[task_name].values())
+            cached = min(self._rows[task_name].exec)
             self._best_exec[task_name] = cached
         return cached
 
     def best_device(self, task_name: str) -> Device:
-        """The device with the smallest runtime estimate."""
-        uid = min(self._exec[task_name], key=self._exec[task_name].get)
-        return self.cluster.device(uid)
+        """The device with the smallest runtime estimate (first on ties)."""
+        row = self._rows[task_name]
+        return row.devices[min(range(len(row.exec)), key=row.exec.__getitem__)]
 
     # ------------------------------------------------------------------ #
     # communication estimates                                            #
@@ -199,7 +227,8 @@ class SchedulingContext:
 
         The exact ingredients of :meth:`Cluster.transfer_estimate` for a
         cross-node pair, resolved once — the per-placement cost becomes
-        three float ops instead of repeated object-graph walks.
+        three float ops instead of repeated object-graph walks.  A pair
+        without an interconnect link raises the interconnect's KeyError.
         """
         key = (src_node, dst_node)
         cached = self._pair_coeff.get(key)
@@ -257,30 +286,26 @@ class SchedulingContext:
 
         Initial files born on a node (``DataFile.location``) are pulled
         over the interconnect; storage-resident ones pay the shared-storage
-        path.  Memoized per (task, node): every device on a node stages
-        identically, so the EFT loop over a node's devices hits the cache.
+        path.  Like :meth:`exec_time`, defined for eligible devices only.
         """
-        return self._staging_node(task_name, self._node_of[device_uid])
+        try:
+            row = self._rows[task_name]
+            return row.staging[row.index[device_uid]]
+        except KeyError:
+            raise SchedulingError(
+                f"task {task_name!r} is not eligible on device {device_uid!r}"
+            ) from None
 
-    def _staging_node(self, task_name: str, node: str) -> float:
-        """Node-keyed staging estimate backing :meth:`staging_time`."""
-        key = (task_name, node)
-        cached = self._staging.get(key)
-        if cached is not None:
-            return cached
-        task = self.workflow.tasks[task_name]
+    def _staging_estimate(self, initial: List[DataFile], node: str) -> float:
+        """Time to stage the ``initial`` input files onto one node."""
         total = 0.0
-        for fname in task.inputs:
-            f = self.workflow.files[fname]
-            if not f.initial:
-                continue
+        for f in initial:
             if f.location is None:
                 total += self.cluster.staging_estimate(node, f.size_mb)
             elif f.location != node:
                 total += self.cluster.transfer_estimate(
                     f.location, node, f.size_mb
                 )
-        self._staging[key] = total
         return total
 
     # ------------------------------------------------------------------ #
@@ -306,216 +331,72 @@ class SchedulingContext:
         return _vec_downward_ranks(self)
 
     # ------------------------------------------------------------------ #
-    # vectorized-kernel infrastructure                                   #
+    # kernel inputs                                                      #
     # ------------------------------------------------------------------ #
-
-    def _task_arrays(self, task_name: str) -> tuple:
-        """(node_idx, exec_list, uids, staging_arr, staging_list) per task.
-
-        All aligned element-for-element with ``eligible_devices(task)``:
-        ``node_idx`` is an intp array of node indices (into the cluster's
-        node order), ``exec_list`` a plain list of execution estimates,
-        ``uids`` the device uid strings, and ``staging_arr``/``staging_list``
-        the initial-input staging estimates (array and list form — the
-        ready-time kernel never mutates the cached array).
-        """
-        cached = self._task_vec.get(task_name)
-        if cached is None:
-            devices = self._eligible[task_name]
-            node_index = self._node_index
-            node_idx = np.array(
-                [node_index[self._node_of[d.uid]] for d in devices],
-                dtype=np.intp,
-            )
-            exec_row = self._exec[task_name]
-            exec_list = [exec_row[d.uid] for d in devices]
-            uids = [d.uid for d in devices]
-            staging_arr = self._staging_vec(task_name)[node_idx]
-            cached = (node_idx, exec_list, uids, staging_arr, staging_arr.tolist())
-            self._task_vec[task_name] = cached
-        return cached
-
-    def _device_table(self) -> tuple:
-        """(uids, index) over alive devices in cluster order (lazy)."""
-        cached = getattr(self, "_dev_table", None)
-        if cached is None:
-            uids = [d.uid for d in self.cluster.alive_devices()]
-            cached = (uids, {uid: i for i, uid in enumerate(uids)})
-            self._dev_table = cached
-        return cached
-
-    def _oct_task_arrays(self, task_name: str) -> tuple:
-        """(global_idx, exec_arr, uids) aligned with eligible devices (lazy).
-
-        ``global_idx`` indexes into the alive-device table — the scatter
-        target the vectorized optimistic-cost-table kernel uses to compare
-        a parent's devices against every child's candidate devices.
-        """
-        cached = getattr(self, "_oct_vec", None)
-        if cached is None:
-            cached = self._oct_vec = {}
-        entry = cached.get(task_name)
-        if entry is None:
-            _uids, index = self._device_table()
-            devices = self._eligible[task_name]
-            exec_row = self._exec[task_name]
-            entry = (
-                np.array([index[d.uid] for d in devices], dtype=np.intp),
-                np.array([exec_row[d.uid] for d in devices]),
-                [d.uid for d in devices],
-            )
-            cached[task_name] = entry
-        return entry
-
-    def _staging_vec(self, task_name: str) -> np.ndarray:
-        """Initial-input staging estimate per cluster node (memoized)."""
-        cached = self._staging_vecs.get(task_name)
-        if cached is None:
-            cached = np.array(
-                [self._staging_node(task_name, n) for n in self._node_names]
-            )
-            self._staging_vecs[task_name] = cached
-        return cached
-
-    def _ensure_link_matrices(self) -> None:
-        """Node-pair (latency, effective-bandwidth) matrices + disk vector.
-
-        Pairs without an interconnect link are marked NaN and flip
-        ``_links_complete`` — the vectorized ready-time path then defers to
-        the scalar kernel so the original ``KeyError`` surfaces unchanged.
-        """
-        if self._lat_mat is not None:
-            return
-        names = self._node_names
-        n = len(names)
-        lat = np.zeros((n, n))
-        bw = np.full((n, n), np.inf)
-        for i, src in enumerate(names):
-            for j, dst in enumerate(names):
-                if i == j:
-                    continue
-                try:
-                    latency, eff_bw, _dbw = self._pair(src, dst)
-                except KeyError:
-                    lat[i, j] = np.nan
-                    bw[i, j] = np.nan
-                    self._links_complete = False
-                else:
-                    lat[i, j] = latency
-                    bw[i, j] = eff_bw
-        self._lat_mat = lat
-        self._bw_mat = bw
-        self._dbw_vec = np.array(
-            [self.cluster.node(name).disk_bandwidth for name in names]
-        )
 
     def _comm_row(
         self, src_task: str, dst_task: str, src_uid: str
-    ) -> Optional[np.ndarray]:
+    ) -> Optional[List[float]]:
         """Edge transfer time to each of ``dst_task``'s eligible devices.
 
         Element ``[i]`` equals ``comm_time(src_task, dst_task, src_uid,
-        dst_devices[i])`` — elementwise the same latency + data/bandwidth +
-        data/disk arithmetic, so bit-identical.  Returns None for zero-byte
-        edges, where the cost is 0 everywhere.  Memoized per (edge, source
-        node): repeated evaluations (e.g. Min-Min frontier rescans) are a
+        uids[i])``: the same latency + data/bandwidth + data/disk
+        arithmetic, so bit-identical.  Returns None for zero-byte edges,
+        where the cost is 0 everywhere.  Memoized per (edge, source node),
+        so repeated evaluations (e.g. Min-Min frontier rescans) are a
         dictionary hit.
         """
-        key = (src_task, dst_task)
-        data = self._edge_mb.get(key)
-        if data is None:
-            data = self.workflow.edge_data_mb(src_task, dst_task)
-            self._edge_mb[key] = data
+        data = self._edge_data(src_task, dst_task)
         if data == 0.0:
             return None
-        src_nidx = self._node_index[self._node_of[src_uid]]
-        row_key = (src_task, dst_task, src_nidx)
-        row = self._comm_rows.get(row_key)
+        src_node = self._node_of[src_uid]
+        key = (src_task, dst_task, src_node)
+        row = self._comm_rows.get(key)
         if row is None:
-            self._ensure_link_matrices()
-            node_row = (
-                self._lat_mat[src_nidx]
-                + data / self._bw_mat[src_nidx]
-                + data / self._dbw_vec
-            )
-            node_row[src_nidx] = 0.0
-            node_idx = self._task_arrays(dst_task)[0]
-            row = node_row[node_idx]
-            self._comm_rows[row_key] = row
+            row = []
+            for node in self._rows[dst_task].nodes:
+                if node == src_node:
+                    row.append(0.0)
+                else:
+                    latency, eff_bw, disk_bw = self._pair(src_node, node)
+                    row.append(latency + data / eff_bw + data / disk_bw)
+            self._comm_rows[key] = row
         return row
 
-    def _comm_row_list(
-        self, src_task: str, dst_task: str, src_uid: str
-    ) -> Optional[List[float]]:
-        """:meth:`_comm_row` as a list of Python floats (memoized).
-
-        The scalar ready-time path consumes rows element-by-element;
-        ``tolist`` round-trips IEEE doubles exactly, so the values match
-        the array form bit-for-bit while keeping downstream schedule
-        times plain Python floats.
-        """
-        key = (src_task, dst_task)
-        data = self._edge_mb.get(key)
-        if data is None:
-            data = self.workflow.edge_data_mb(src_task, dst_task)
-            self._edge_mb[key] = data
-        if data == 0.0:
-            return None
-        src_nidx = self._node_index[self._node_of[src_uid]]
-        row_key = (src_task, dst_task, src_nidx)
-        cached = self._comm_row_lists.get(row_key)
-        if cached is None:
-            cached = self._comm_row(src_task, dst_task, src_uid).tolist()
-            self._comm_row_lists[row_key] = cached
-        return cached
-
     def _ready_list(self, task_name: str, schedule: Schedule) -> List[float]:
-        """Data-ready time per eligible device, as a list of Python floats.
+        """Data-ready time per eligible device.
 
         The elementwise max over staging, release and per-predecessor
-        arrival vectors; every ingredient matches the scalar kernel's
-        arithmetic op-for-op, so the values are bit-identical to looping
-        :func:`repro.schedulers._reference.eft_placement` per device.
+        arrival times, with the same float ops in the same order as
+        :func:`repro.schedulers._reference.eft_placement`, so the values
+        are bit-identical to it.  The returned list may be the row's own
+        staging list: callers must not mutate it.
         """
-        arrays = self._task_arrays(task_name)
+        ready = self._rows[task_name].staging
         preds = self.workflow.predecessors(task_name)
         release = self.release_times.get(task_name, 0.0)
         if not preds and release <= 0.0:
-            return arrays[4]
-        assignments = schedule.assignments
-        if len(preds) * len(arrays[4]) <= 256:
-            # Few (pred, device) cells: scalar max/add beats the numpy
-            # call overhead.  Same IEEE ops, so bit-identical results.
-            ready = list(arrays[4])
-            if release > 0.0:
-                for i, r in enumerate(ready):
-                    if release > r:
-                        ready[i] = release
-            for pred in preds:
-                pa = assignments[pred]
-                row = self._comm_row_list(pred, task_name, pa.device)
-                finish = pa.finish
-                if row is None:
-                    for i, r in enumerate(ready):
-                        if finish > r:
-                            ready[i] = finish
-                else:
-                    for i, r in enumerate(ready):
-                        arrival = finish + row[i]
-                        if arrival > r:
-                            ready[i] = arrival
             return ready
-        ready = arrays[3]
+        ready = list(ready)
         if release > 0.0:
-            ready = np.maximum(ready, release)
+            for i, r in enumerate(ready):
+                if release > r:
+                    ready[i] = release
+        assignments = schedule.assignments
         for pred in preds:
             pa = assignments[pred]
             row = self._comm_row(pred, task_name, pa.device)
+            finish = pa.finish
             if row is None:
-                ready = np.maximum(ready, pa.finish)
+                for i, r in enumerate(ready):
+                    if finish > r:
+                        ready[i] = finish
             else:
-                ready = np.maximum(ready, pa.finish + row)
-        return ready.tolist()
+                for i, r in enumerate(ready):
+                    arrival = finish + row[i]
+                    if arrival > r:
+                        ready[i] = arrival
+        return ready
 
     def _rank_arrays(self) -> tuple:
         """CSR-style edge arrays for the vectorized rank kernels.
@@ -573,10 +454,6 @@ class Scheduler(abc.ABC):
     def schedule(self, context: SchedulingContext) -> Schedule:
         """Produce a full static schedule for the context's workflow."""
 
-    def schedule_workflow(self, workflow: Workflow, cluster: Cluster, **ctx_kwargs) -> Schedule:
-        """Convenience wrapper building the context inline."""
-        return self.schedule(SchedulingContext(workflow, cluster, **ctx_kwargs))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"
 
@@ -594,31 +471,29 @@ def eft_scan(
 ) -> tuple:
     """(devices, starts, finishes) of EFT placement on *every* eligible device.
 
-    The vectorized form of looping :func:`eft_placement` over
-    ``eligible_devices(task)``: the data-ready times for all devices are
-    computed as one numpy max-reduction over staging/release/predecessor
-    arrival vectors, and only the timeline gap search runs per device.
-    ``starts``/``finishes`` are plain Python floats, bit-identical to the
-    scalar loop; selection policies keep their exact tie-break semantics by
-    iterating the returned lists.
+    Equivalent to looping :func:`eft_placement` over
+    ``eligible_devices(task)``, as one scalar loop over the task's row: the
+    data-ready times come from :meth:`SchedulingContext._ready_list`, and
+    only the timeline gap search runs per device.  ``starts``/``finishes``
+    are plain Python floats, bit-identical to the per-device loop;
+    selection policies keep their exact tie-break semantics by iterating
+    the returned lists.
     """
-    devices = context.eligible_devices(task_name)
+    row = context._rows[task_name]
     starts: List[float] = []
     finishes: List[float] = []
-    if _reference.reference_active() or not context._links_complete:
-        for device in devices:
+    if _reference.reference_active():
+        for device in row.devices:
             start, finish = _reference.eft_placement(
                 context, schedule, task_name, device, allow_insertion
             )
             starts.append(start)
             finishes.append(finish)
-        return devices, starts, finishes
+        return row.devices, starts, finishes
     ready = context._ready_list(task_name, schedule)
-    arrays = context._task_arrays(task_name)
-    durations = arrays[1]
-    uids = arrays[2]
+    durations = row.exec
     timelines = schedule.timelines
-    for i, uid in enumerate(uids):
+    for i, uid in enumerate(row.uids):
         duration = durations[i]
         tl = timelines.get(uid)
         if tl is None:
@@ -631,7 +506,7 @@ def eft_scan(
             start = tl._index.earliest_fit(ready[i], duration, allow_insertion)
         starts.append(start)
         finishes.append(start + duration)
-    return devices, starts, finishes
+    return row.devices, starts, finishes
 
 
 def _vec_upward_ranks(

@@ -59,7 +59,7 @@ class MinMinScheduler(Scheduler):
                         devices,
                         starts,
                         finishes,
-                        {d.uid: i for i, d in enumerate(devices)},
+                        context._rows[name].index,
                         None,
                     ]
                     cache[name] = entry

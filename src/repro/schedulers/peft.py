@@ -48,32 +48,31 @@ def _vec_optimistic_cost_table(
     float addition is monotone), so the table is bit-identical.
     """
     wf = context.workflow
-    uids, _index = context._device_table()
-    n_dev = len(uids)
-    rows: Dict[str, np.ndarray] = {}
+    rows = context._rows
+    n_dev = context._n_alive
+    octs: Dict[str, np.ndarray] = {}
     for name in reversed(wf.topological_order()):
-        gidx, _exec_arr, _uids = context._oct_task_arrays(name)
+        gidx = rows[name].alive_idx
         worst = np.zeros(len(gidx))
         for child in wf.successors(name):
-            cgidx, cexec, _cuids = context._oct_task_arrays(child)
-            a = rows[child] + cexec
+            crow = rows[child]
+            a = octs[child] + crow.exec
             k = int(np.argmin(a))
             m1 = float(a[k])
             mc = context.mean_comm(name, child)
             a_full = np.full(n_dev, np.inf)
-            a_full[cgidx] = a
+            a_full[crow.alive_idx] = a
             excl_full = np.full(n_dev, m1)
             if np.count_nonzero(a == m1) == 1:
                 m2 = float(np.min(np.delete(a, k))) if len(a) > 1 else np.inf
-                excl_full[cgidx[k]] = m2
+                excl_full[crow.alive_idx[k]] = m2
             best_full = np.minimum(a_full, excl_full + mc)
             np.maximum(worst, best_full[gidx], out=worst)
-        rows[name] = worst
-    out: Dict[str, Dict[str, float]] = {}
-    for name, worst in rows.items():
-        _g, _e, task_uids = context._oct_task_arrays(name)
-        out[name] = dict(zip(task_uids, worst.tolist()))
-    return out
+        octs[name] = worst
+    return {
+        name: dict(zip(rows[name].uids, worst.tolist()))
+        for name, worst in octs.items()
+    }
 
 
 class PeftScheduler(Scheduler):
@@ -110,7 +109,3 @@ class PeftScheduler(Scheduler):
                 if indeg[child] == 0:
                     heapq.heappush(heap, (-rank[child], child))
         return schedule
-
-    def _optimistic_cost_table(self, context: SchedulingContext):
-        """Back-compat alias for :func:`optimistic_cost_table`."""
-        return optimistic_cost_table(context)

@@ -24,7 +24,7 @@ Mechanics:
 Roots default to the campaign entry points: the worker executor
 (``repro.runner.jobs.execute_sim``), the batch admission loop
 (``repro.runner.pool.CampaignRunner.run_batches``) and every scheduler
-``schedule``/``schedule_workflow`` plan entry point under
+``schedule`` plan entry point under
 ``repro.schedulers``.  Linting a tree that contains none of these (a
 test fixture, a subpackage) simply checks whatever roots it does
 contain.
@@ -51,10 +51,10 @@ DEFAULT_ROOTS = (
     "repro.runner.pool.CampaignRunner.run_sims",
 )
 
-#: Module prefix whose ``schedule``/``schedule_workflow`` methods are
+#: Module prefix whose ``schedule`` methods are
 #: plan entry points (every registered scheduler's public surface).
 SCHEDULER_PREFIX = "repro.schedulers."
-SCHEDULER_ENTRY_NAMES = ("schedule", "schedule_workflow")
+SCHEDULER_ENTRY_NAMES = ("schedule",)
 
 
 @dataclass(frozen=True)

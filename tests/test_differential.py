@@ -11,10 +11,13 @@ epsilon — surfaces here as a named divergence instead of as unexplained
 golden-makespan churn.
 
 The grid is randomized over workflow generators, generator seeds and
-cluster presets (>= 50 cells).  A mutation-style test perturbs one rank
-value in the vectorized path under monkeypatch and asserts the harness
-reports the divergence, pinning down that the comparison actually bites.
+cluster presets (>= 50 cells).  Two mutation-style tests perturb one rank
+value and one staging estimate on the fast path under monkeypatch and
+assert the harness reports the divergence, pinning down that the
+comparison bites on both the rank and the EFT path.
 """
+
+import math
 
 import networkx as nx
 import pytest
@@ -200,6 +203,41 @@ def test_mutated_rank_kernel_is_detected(monkeypatch):
         lambda: presets.hybrid_cluster(nodes=2, cores_per_node=2, gpus_per_node=1),
     )
     assert divs, "harness failed to report an injected rank perturbation"
+
+
+def test_mutated_staging_value_is_detected(monkeypatch):
+    """A one-ulp change to one staging estimate on the fast path must
+    surface as a divergence.
+
+    The perturbation edits the first nonzero staging value, in
+    topological order, of the context's per-task rows, and only in the
+    context built for the fast run: the reference run prices the same
+    placement from an unperturbed context, so any difference is the EFT
+    path reading the row.
+    """
+    original = SchedulingContext.__init__
+
+    def perturbed(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        if _reference.reference_active():
+            return
+        for name in self.workflow.topological_order():
+            staging = self._rows[name].staging
+            for i, value in enumerate(staging):
+                if value:
+                    staging[i] = math.nextafter(value, math.inf)
+                    return
+        raise AssertionError("no nonzero staging value to perturb")
+
+    monkeypatch.setattr(SchedulingContext, "__init__", perturbed)
+    # ligo-24 on edge-6 is verified to place the perturbed task on the
+    # perturbed device, so the ulp reaches its start time.
+    divs = run_cell(
+        "heft",
+        lambda: ligo_inspiral(size=24, seed=17),
+        lambda: presets.edge_cluster(devices=6),
+    )
+    assert divs, "harness failed to report an injected staging perturbation"
 
 
 def test_reference_mode_is_reentrant_and_restores():

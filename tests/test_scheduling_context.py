@@ -1,10 +1,17 @@
 """Tests for the shared scheduling context."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
+import repro.core  # noqa: F401  (registers HDWS in the scheduler registry)
 from repro.platform import presets
-from repro.platform.devices import DeviceClass
+from repro.platform.cluster import Cluster
+from repro.platform.devices import DeviceClass, catalogue
+from repro.platform.interconnect import Interconnect
+from repro.platform.nodes import NodeSpec
+from repro.schedulers import REGISTRY, _reference
 from repro.schedulers.base import SchedulingContext, SchedulingError
 from repro.workflows.generators import montage
 from repro.workflows.graph import Workflow
@@ -105,6 +112,10 @@ class TestEstimates:
         # mConcatFit reads only produced diffs
         assert ctx.staging_time("mConcatFit", dev.uid) == 0.0
 
+    def test_staging_time_ineligible_device_raises(self, montage_context):
+        with pytest.raises(SchedulingError):
+            montage_context.staging_time("mProject_0", "nope")
+
     def test_single_node_cluster_mean_comm_zero(self, small_montage):
         ws = presets.single_node_workstation()
         ctx = SchedulingContext(small_montage, ws)
@@ -163,3 +174,52 @@ class TestEstimateError:
         t = "mConcatFit"
         d = c1.eligible_devices(t)[0]
         assert c1.exec_time(t, d.uid) == c2.exec_time(t, d.uid)
+
+
+def _cluster_missing_link() -> Cluster:
+    """CPUs on n0, a GPU on n1, and every link except n0 -> n1."""
+    cat = catalogue()
+    mesh = Interconnect.uniform(["n0", "n1"])
+    net = Interconnect()
+    for link in mesh.links:
+        if (link.src, link.dst) != ("n0", "n1"):
+            net.add_link(link)
+    return Cluster(
+        "missing-link",
+        [
+            NodeSpec.of("n0", [cat["cpu-std"]] * 2),
+            NodeSpec.of("n1", [cat["gpu-std"]]),
+        ],
+        interconnect=net,
+    )
+
+
+def _cpu_then_gpu() -> Workflow:
+    """Two CPU-only producers feeding a GPU-only consumer: n0 -> n1 data."""
+    gpu_only = {DeviceClass.CPU: 0.0, DeviceClass.GPU: 10.0}
+    wf = Workflow("cpu-then-gpu")
+    for name in ("a", "b"):
+        wf.add_file(DataFile(f"{name}.out", 50.0))
+        wf.add_task(cpu_task(name, 5.0, outputs=(f"{name}.out",)))
+    wf.add_file(DataFile("c.out", 1.0))
+    wf.add_task(Task("c", 5.0, affinity=gpu_only,
+                     inputs=("a.out", "b.out"), outputs=("c.out",)))
+    return wf
+
+
+class TestMissingLink:
+    """A placement that needs an absent link fails with the interconnect's
+    own KeyError naming it, on the fast path and under reference mode."""
+
+    @pytest.mark.parametrize("reference", [False, True], ids=["fast", "reference"])
+    @pytest.mark.parametrize("scheduler_name", sorted(REGISTRY))
+    def test_every_scheduler_raises_naming_the_link(self, scheduler_name, reference):
+        with _reference.reference_mode() if reference else nullcontext():
+            with pytest.raises(KeyError, match="no link n0 -> n1"):
+                REGISTRY[scheduler_name]().schedule(
+                    SchedulingContext(_cpu_then_gpu(), _cluster_missing_link())
+                )
+
+    def test_context_builds_without_the_link(self):
+        ctx = SchedulingContext(_cpu_then_gpu(), _cluster_missing_link())
+        assert [d.device_class for d in ctx.eligible_devices("c")] == [DeviceClass.GPU]
