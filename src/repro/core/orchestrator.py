@@ -158,18 +158,47 @@ class RunResult:
         }
 
 
+def planning_context(
+    workflow: Workflow, cluster: Cluster, config: RunConfig
+) -> SchedulingContext:
+    """The static-mode planning context of one run of ``config``.
+
+    Depends on the config only through ``estimate_error_cv``,
+    ``release_times`` and, when the estimate error is non-zero, ``seed``
+    (which seeds the error draw).
+    """
+    return SchedulingContext(
+        workflow,
+        cluster,
+        estimate_error_cv=config.estimate_error_cv,
+        rng=np.random.default_rng(config.seed + 7919),
+        release_times=config.release_times,
+    )
+
+
 class Orchestrator:
     """Runs workflows on clusters under a :class:`RunConfig`."""
 
     def __init__(self, config: Optional[RunConfig] = None) -> None:
         self.config = config or RunConfig()
 
-    def run(self, workflow: Workflow, cluster: Cluster) -> RunResult:
+    def run(
+        self,
+        workflow: Workflow,
+        cluster: Cluster,
+        *,
+        context: Optional[SchedulingContext] = None,
+    ) -> RunResult:
         """Execute one workflow on one cluster; returns the full result.
 
         The cluster is reset first, so one cluster instance can serve many
         sequential runs (its execution model's noise settings are adjusted
         in place for the run).
+
+        ``context`` is an optional static-mode planning context built by
+        :func:`planning_context` for this workflow, this cluster (in its
+        reset state) and this config; it lets a caller plan many runs
+        from one context.  Omitted, the run builds a fresh one.
         """
         cfg = self.config
         if cfg.validate:
@@ -199,7 +228,7 @@ class Orchestrator:
 
             registry = MetricsRegistry()
         t_plan = clock()
-        policy, plan = self._build_policy(workflow, cluster)
+        policy, plan = self._build_policy(workflow, cluster, context)
         if registry is not None:
             registry.profile("plan.wall_s", clock() - t_plan)
         if precheck and plan is not None:
@@ -245,8 +274,22 @@ class Orchestrator:
             energy=energy,
         )
 
-    def _build_policy(self, workflow: Workflow, cluster: Cluster):
+    def _build_policy(
+        self,
+        workflow: Workflow,
+        cluster: Cluster,
+        context: Optional[SchedulingContext] = None,
+    ):
         cfg = self.config
+        if context is not None and (
+            cfg.mode != "static"
+            or context.workflow is not workflow
+            or context.cluster is not cluster
+        ):
+            raise ValueError(
+                "a prebuilt planning context must be a static-mode context "
+                "of this run's workflow and cluster"
+            )
         if cfg.mode == "dynamic":
             return (
                 DynamicMctPolicy(
@@ -267,13 +310,8 @@ class Orchestrator:
                 ),
                 None,
             )
-        context = SchedulingContext(
-            workflow,
-            cluster,
-            estimate_error_cv=cfg.estimate_error_cv,
-            rng=np.random.default_rng(cfg.seed + 7919),
-            release_times=cfg.release_times,
-        )
+        if context is None:
+            context = planning_context(workflow, cluster, cfg)
         plan = scheduler.schedule(context)
         plan.validate_against(workflow)
         return StaticPolicy(plan), plan

@@ -6,7 +6,10 @@ factory spec, and the run-config dict (seed, noise, fault model, recovery
 policy, governor, mode — object values as factory specs).  Workers
 rebuild everything from the description, so executing a cell inline, in a
 forked pool worker or from a cache-warmed rerun goes through the *same*
-construction path and therefore yields bit-identical numbers.
+construction path and therefore yields bit-identical numbers.  What a
+worker rebuilds is memoized per process by content (``_workflow_memo``,
+``_plan_memo``), so cells sharing a workflow and platform share the
+decoded workflow, the cluster and the planning context.
 
 The module-level ``execute_*`` functions are the ``multiprocessing``
 entry points; payloads are plain dicts so both fork and spawn start
@@ -35,11 +38,14 @@ import hashlib
 import time
 import traceback as traceback_module
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
 from repro.runner import specs
 from repro.runner.health import TransientCellError, classify_exception
 from repro.runner.record import CellFailure, SimRecord, TimingRecord
+
+if TYPE_CHECKING:
+    from repro.schedulers.base import SchedulingContext
 
 
 @dataclass(frozen=True)
@@ -151,6 +157,69 @@ def _workflow_for(doc: Dict[str, Any], fingerprint: Optional[str] = None):
     return wf
 
 
+#: Static-mode planning contexts keyed by content: the workflow
+#: fingerprint, the canonical cluster-spec JSON, the estimate error, the
+#: run seed when (and only when) that error is non-zero — it seeds the
+#: error draw — and the release times.  Each entry is a context; it
+#: holds the workflow, the cluster built from the spec, and its own
+#: rank, comm-row and optimistic-cost memos.  A campaign
+#: runs every scheduler and run seed of a (document, platform) pair
+#: through one entry, so a worker plans from one context per pair
+#: instead of rebuilding the cluster and the context per cell.  The
+#: cluster is safe to share between runs: ``Orchestrator.run`` resets
+#: it first.  Keys hold no object identities, so no caller-owned object
+#: can go stale under them.
+_plan_memo: Dict[tuple, "SchedulingContext"] = {}
+_PLAN_MEMO_MAX = 16
+
+
+def _plan_key(payload: Dict[str, Any], config) -> tuple:
+    """Content key of a cell's planning context (see ``_plan_memo``)."""
+    from repro.runner.hashing import canonical_json
+
+    cv = config.estimate_error_cv
+    return (
+        payload["workflow_fp"],
+        canonical_json(payload["cluster"]),
+        cv,
+        config.seed if cv > 0 else None,
+        tuple(sorted(config.release_times.items())),
+    )
+
+
+def _planned(payload: Dict[str, Any], config) -> tuple:
+    """(workflow, cluster, context) for a cell; context None if unshared.
+
+    Static-mode cells carrying a workflow fingerprint share a memoized
+    context; other cells get a fresh workflow lookup and cluster, and
+    the run builds its own context.
+    """
+    from repro.core.orchestrator import planning_context
+
+    fp = payload.get("workflow_fp")
+    if config.mode != "static" or fp is None:
+        return (
+            _workflow_for(payload["workflow"], fp),
+            specs.build(payload["cluster"]),
+            None,
+        )
+    key = _plan_key(payload, config)
+    context = _plan_memo.get(key)
+    if context is None:
+        wf = _workflow_for(payload["workflow"], fp)
+        cluster = specs.build(payload["cluster"])
+        try:
+            context = planning_context(wf, cluster, config)
+        except Exception:
+            # An unplannable cell: the run rebuilds the context after
+            # validation and prechecks and raises in their order.
+            return wf, cluster, None
+        if len(_plan_memo) >= _PLAN_MEMO_MAX:
+            _plan_memo.clear()
+        _plan_memo[key] = context
+    return context.workflow, context.cluster, context
+
+
 def _maybe_inject_failure(payload: Dict[str, Any]) -> None:
     """Deterministic failure injection, driven by the payload's spec.
 
@@ -210,16 +279,18 @@ def execute_sim(payload: Dict[str, Any]) -> Dict[str, Any]:
     """
     # The import registers HDWS in the scheduler registry inside workers.
     import repro.core  # noqa: F401
-    from repro.core.api import run_workflow
+    from repro.core.orchestrator import Orchestrator, RunConfig
 
     t0 = time.perf_counter()
     try:
         _maybe_inject_failure(payload)
-        wf = _workflow_for(payload["workflow"], payload.get("workflow_fp"))
-        cluster = specs.build(payload["cluster"])
         scheduler = _build_scheduler(payload["scheduler"])
-        config = {k: specs.build(v) for k, v in payload["config"].items()}
-        result = run_workflow(wf, cluster, scheduler=scheduler, **config)
+        config = RunConfig(
+            scheduler=scheduler,
+            **{k: specs.build(v) for k, v in payload["config"].items()},
+        )
+        wf, cluster, context = _planned(payload, config)
+        result = Orchestrator(config).run(wf, cluster, context=context)
         return SimRecord.from_run(result).to_dict()
     except Exception as exc:
         return _failure_dict(exc, payload, time.perf_counter() - t0)

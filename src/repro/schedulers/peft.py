@@ -26,11 +26,15 @@ def optimistic_cost_table(context: SchedulingContext) -> Dict[str, Dict[str, flo
     ``OCT[t][d]`` is the optimistic remaining path length below ``t`` if it
     runs on ``d`` and every descendant gets its best device.  Exit tasks
     have an all-zero row.  Shared by PEFT and by HDWS's lookahead term.
-    Computed by the vectorized kernel unless reference mode is active.
+    Computed once per context by the vectorized kernel (the caller gets a
+    copy) unless reference mode is active.
     """
     if _reference.reference_active():
         return _reference.optimistic_cost_table(context)
-    return _vec_optimistic_cost_table(context)
+    table = context._oct
+    if table is None:
+        table = context._oct = _vec_optimistic_cost_table(context)
+    return {name: dict(row) for name, row in table.items()}
 
 
 def _vec_optimistic_cost_table(

@@ -68,6 +68,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     server: ServiceServer  # narrowed for readability; set by the server
     protocol_version = "HTTP/1.1"
+    #: A reply is sent as two writes (headers, then body).  With Nagle on,
+    #: the body waits for the client's delayed ACK of the headers, which
+    #: stalls every keep-alive response by tens of milliseconds.
+    disable_nagle_algorithm = True
 
     # -------------------------------------------------------------- #
     # plumbing                                                       #

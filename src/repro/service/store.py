@@ -260,26 +260,24 @@ class JobStore:
                 " cells) VALUES (?, ?, ?, ?, ?)",
                 (campaign_id, name, seq, now, len(keyed)),
             )
-            for key, job in keyed.items():
-                self._conn.execute(
-                    "INSERT INTO cells(campaign_id, cell_key, global_seq,"
-                    " state, job, label) VALUES (?, ?, ?, ?, ?, ?)",
+            # Monotone submission order across campaigns: read the
+            # store's maximum once, then count up (the lock is held).
+            first = self._conn.execute(
+                "SELECT COALESCE(MAX(global_seq), 0) AS m FROM cells"
+            ).fetchone()["m"] + 1
+            self._conn.executemany(
+                "INSERT INTO cells(campaign_id, cell_key, global_seq,"
+                " state, job, label) VALUES (?, ?, ?, ?, ?, ?)",
+                [
                     (
-                        campaign_id, key,
-                        self._next_global_seq(),
-                        QUEUED,
+                        campaign_id, key, global_seq, QUEUED,
                         json.dumps(job_to_wire(job), sort_keys=True),
                         job.label,
-                    ),
-                )
+                    )
+                    for global_seq, (key, job) in enumerate(keyed.items(), first)
+                ],
+            )
         return campaign_id
-
-    def _next_global_seq(self) -> int:
-        """Monotone submission order across campaigns.  Lock held."""
-        row = self._conn.execute(
-            "SELECT COALESCE(MAX(global_seq), 0) AS m FROM cells"
-        ).fetchone()
-        return int(row["m"]) + 1
 
     # ------------------------------------------------------------------ #
     # leasing                                                            #

@@ -93,6 +93,37 @@ def test_campaign_ids_are_deterministic(tmp_path):
     assert ids[0] == ids[1]
 
 
+def test_submit_cost_does_not_grow_with_the_store(store):
+    """submit reads the last global_seq once per campaign, not per cell,
+    so its statements do not depend on what the store already holds."""
+    statements = []
+
+    def traced_submit(name, jobs):
+        statements.clear()
+        store._conn.set_trace_callback(statements.append)
+        try:
+            cid = store.submit(name, jobs)
+        finally:
+            store._conn.set_trace_callback(None)
+        scans = [s for s in statements if "MAX(global_seq)" in s]
+        return cid, len(statements), len(scans)
+
+    first, n_first, scans = traced_submit("a", _jobs(5, seed=11, prefix="a"))
+    assert scans == 1
+    bulk, _n, scans = traced_submit("bulk", _jobs(60, seed=40, prefix="bulk"))
+    assert scans == 1
+    later, n_later, _scans = traced_submit("b", _jobs(5, seed=300, prefix="b"))
+    assert n_later == n_first
+    # global_seq numbers every cell in submission order, across campaigns.
+    seqs = [
+        [cell["seq"] for cell in store.cells(cid)]
+        for cid in (first, bulk, later)
+    ]
+    assert seqs == [
+        list(range(1, 6)), list(range(6, 66)), list(range(66, 71)),
+    ]
+
+
 # --------------------------------------------------------------------- #
 # lease lifecycle                                                       #
 # --------------------------------------------------------------------- #

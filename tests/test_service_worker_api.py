@@ -230,6 +230,29 @@ def _call(port, path, body=None):
         return err.code, json.loads(err.read())
 
 
+def test_keep_alive_replies_are_not_delayed(served):
+    """Sequential requests on one keep-alive connection answer promptly
+    (a header/body write split met by Nagle + delayed ACK adds ~40 ms)."""
+    import http.client
+    import statistics
+    import time
+
+    _store, port = served
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        latencies = []
+        for _ in range(50):
+            t0 = time.perf_counter()
+            conn.request("GET", "/api/campaigns")
+            resp = conn.getresponse()
+            body = resp.read()
+            latencies.append(time.perf_counter() - t0)
+            assert resp.status == 200 and json.loads(body)["ok"] is True
+    finally:
+        conn.close()
+    assert statistics.median(latencies) < 0.020
+
+
 def test_api_submit_query_and_errors(served, tmp_path):
     store, port = served
     status, body = _call(port, "/api/ping")
