@@ -165,10 +165,15 @@ def _workflow_for(doc: Dict[str, Any], fingerprint: Optional[str] = None):
 #: rank, comm-row and optimistic-cost memos.  A campaign
 #: runs every scheduler and run seed of a (document, platform) pair
 #: through one entry, so a worker plans from one context per pair
-#: instead of rebuilding the cluster and the context per cell.  The
-#: cluster is safe to share between runs: ``Orchestrator.run`` resets
-#: it first.  Keys hold no object identities, so no caller-owned object
-#: can go stale under them.
+#: instead of rebuilding the cluster and the context per cell.  A run
+#: writes its state onto the cluster (link and storage contention,
+#: device failures) and ``Orchestrator.run`` resets it first, so a
+#: context serves one run at a time: ``_checkout_plan`` takes the entry
+#: out of the memo and ``_checkin_plan`` puts it back once the run has
+#: finished.  A concurrent run of the same key (in-process
+#: workers on two threads) finds no entry and builds its own.  Keys hold
+#: no object identities, so no caller-owned object can go stale under
+#: them.
 _plan_memo: Dict[tuple, "SchedulingContext"] = {}
 _PLAN_MEMO_MAX = 16
 
@@ -187,12 +192,14 @@ def _plan_key(payload: Dict[str, Any], config) -> tuple:
     )
 
 
-def _planned(payload: Dict[str, Any], config) -> tuple:
-    """(workflow, cluster, context) for a cell; context None if unshared.
+def _checkout_plan(payload: Dict[str, Any], config) -> tuple:
+    """(workflow, cluster, context, key) for one run of a cell.
 
-    Static-mode cells carrying a workflow fingerprint share a memoized
-    context; other cells get a fresh workflow lookup and cluster, and
-    the run builds its own context.
+    Static-mode cells carrying a workflow fingerprint take their context
+    out of ``_plan_memo`` (building it on a miss); the caller owns it,
+    and its cluster, until it hands it back with ``_checkin_plan``.
+    Other cells get a fresh workflow lookup and cluster, context and key
+    None, and the run builds its own context.
     """
     from repro.core.orchestrator import planning_context
 
@@ -202,9 +209,10 @@ def _planned(payload: Dict[str, Any], config) -> tuple:
             _workflow_for(payload["workflow"], fp),
             specs.build(payload["cluster"]),
             None,
+            None,
         )
     key = _plan_key(payload, config)
-    context = _plan_memo.get(key)
+    context = _plan_memo.pop(key, None)
     if context is None:
         wf = _workflow_for(payload["workflow"], fp)
         cluster = specs.build(payload["cluster"])
@@ -213,11 +221,15 @@ def _planned(payload: Dict[str, Any], config) -> tuple:
         except Exception:
             # An unplannable cell: the run rebuilds the context after
             # validation and prechecks and raises in their order.
-            return wf, cluster, None
-        if len(_plan_memo) >= _PLAN_MEMO_MAX:
-            _plan_memo.clear()
-        _plan_memo[key] = context
-    return context.workflow, context.cluster, context
+            return wf, cluster, None, None
+    return context.workflow, context.cluster, context, key
+
+
+def _checkin_plan(key: tuple, context: "SchedulingContext") -> None:
+    """Return a checked-out context to ``_plan_memo`` after its run."""
+    if len(_plan_memo) >= _PLAN_MEMO_MAX:
+        _plan_memo.clear()
+    _plan_memo[key] = context
 
 
 def _maybe_inject_failure(payload: Dict[str, Any]) -> None:
@@ -289,8 +301,11 @@ def execute_sim(payload: Dict[str, Any]) -> Dict[str, Any]:
             scheduler=scheduler,
             **{k: specs.build(v) for k, v in payload["config"].items()},
         )
-        wf, cluster, context = _planned(payload, config)
+        wf, cluster, context, key = _checkout_plan(payload, config)
         result = Orchestrator(config).run(wf, cluster, context=context)
+        if context is not None:
+            # A run that raised drops its context instead.
+            _checkin_plan(key, context)
         return SimRecord.from_run(result).to_dict()
     except Exception as exc:
         return _failure_dict(exc, payload, time.perf_counter() - t0)

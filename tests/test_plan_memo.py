@@ -127,6 +127,27 @@ def test_key_without_the_seed_is_caught(monkeypatch):
     assert ordered != cold
 
 
+def test_a_context_serves_one_run_at_a_time():
+    """A checked-out context leaves the memo until its run hands it back,
+    so a concurrent run of the same key plans on its own cluster."""
+    _clear()
+    job = make_job(
+        workflow_to_dict(random_dag(n_tasks=8, seed=3)), CLUSTER_A,
+        scheduler="heft", seed=1,
+    )
+    payload = job.payload()
+    config = RunConfig(scheduler="heft", seed=1)
+    _wf, cluster, context, key = jobs._checkout_plan(payload, config)
+    assert jobs._plan_memo == {}
+    _wf2, cluster2, context2, key2 = jobs._checkout_plan(payload, config)
+    assert key2 == key
+    assert context2 is not context and cluster2 is not cluster
+    jobs._checkin_plan(key, context)
+    assert jobs._checkout_plan(payload, config)[2] is context
+    assert jobs._plan_memo == {}
+    _clear()
+
+
 def test_non_static_modes_do_not_share_contexts():
     _clear()
     job = make_job(

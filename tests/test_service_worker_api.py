@@ -141,6 +141,76 @@ def test_two_workers_share_one_store_without_overlap(tmp_path):
     check.close()
 
 
+def test_threaded_workers_never_share_a_cluster(tmp_path, monkeypatch):
+    """Two in-process workers on two threads drain cells of one planning
+    key.  No cluster serves two runs at once, and every stored record is
+    byte-identical to the inline campaign's."""
+    import time
+
+    from repro.core.orchestrator import Orchestrator
+
+    jobs = _jobs(10)
+    with CampaignRunner(jobs=1) as inline:
+        reference = inline.run_sims(_jobs(10))
+
+    real_run = Orchestrator.run
+    lock = threading.Lock()
+    busy = set()
+    shared = []
+
+    def exclusive_run(self, workflow, cluster, **kwargs):
+        with lock:
+            if id(cluster) in busy:
+                shared.append(id(cluster))
+            busy.add(id(cluster))
+        try:
+            time.sleep(0.01)  # hold the cluster so the two threads overlap
+            return real_run(self, workflow, cluster, **kwargs)
+        finally:
+            with lock:
+                busy.discard(id(cluster))
+
+    monkeypatch.setattr(Orchestrator, "run", exclusive_run)
+    path = str(tmp_path / "store.db")
+    seed_store = JobStore(path)
+    cid = seed_store.submit("threads", jobs)
+    seed_store.close()
+    errors = []
+
+    def drive(worker_id: str) -> None:
+        store = JobStore(path)
+        runner, worker = _worker(
+            store, tmp_path, worker_id, cache=f"cache-{worker_id}",
+            batch=1, ttl=30,
+        )
+        try:
+            with runner:
+                worker.run(max_polls=200)
+        except Exception as exc:  # pragma: no cover - surfaced below
+            errors.append(exc)
+        finally:
+            store.close()
+
+    threads = [
+        threading.Thread(target=drive, args=(f"w{i}",)) for i in (1, 2)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert errors == [] and shared == []
+
+    check = JobStore(path)
+    assert check.counts(cid)[DONE] == 10
+    for job, record in zip(jobs, reference):
+        stored = check.cell(cid, cache_key(job))["result"]
+        assert (
+            json.dumps(stored, sort_keys=True)
+            == json.dumps(record.to_dict(), sort_keys=True)
+        )
+    check.close()
+
+
 def test_dead_workers_cells_are_recovered_by_a_live_worker(tmp_path):
     """A lease that stops heartbeating is reclaimed and re-executed."""
     store = JobStore(str(tmp_path / "store.db"))
@@ -230,13 +300,28 @@ def _call(port, path, body=None):
         return err.code, json.loads(err.read())
 
 
-def test_keep_alive_replies_are_not_delayed(served):
+def test_keep_alive_replies_are_not_delayed(served, monkeypatch):
     """Sequential requests on one keep-alive connection answer promptly
-    (a header/body write split met by Nagle + delayed ACK adds ~40 ms)."""
+    (a header/body write split met by Nagle + delayed ACK adds ~40 ms).
+    The accepted socket has Nagle disabled, and the median reply is far
+    below that stall."""
     import http.client
+    import socket
     import statistics
     import time
 
+    from repro.service.api import ServiceHandler
+
+    nodelay = []
+    real_setup = ServiceHandler.setup
+
+    def recording_setup(self):
+        real_setup(self)
+        nodelay.append(
+            self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        )
+
+    monkeypatch.setattr(ServiceHandler, "setup", recording_setup)
     _store, port = served
     conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
     try:
@@ -250,6 +335,7 @@ def test_keep_alive_replies_are_not_delayed(served):
             assert resp.status == 200 and json.loads(body)["ok"] is True
     finally:
         conn.close()
+    assert len(nodelay) == 1 and nodelay[0] != 0  # one connection, no Nagle
     assert statistics.median(latencies) < 0.020
 
 
