@@ -32,6 +32,9 @@ run into a small, schema-versioned set of tracked series:
 * ``calibration.probe_s``           — wall time of a fixed pure-Python
   workload; used to normalize machine speed when comparing wall-based
   series across hosts.
+* ``code.src_lines``                — physical lines of
+  ``src/repro/**/*.py``: the size trajectory of the program
+  (deterministic, informational).
 
 With ``--baseline`` the report is additionally *checked* against a prior
 report: any ``makespan.geomean.*`` series or the calibration-normalized
@@ -264,12 +267,22 @@ def retry_overhead_pct(jobs: int) -> float:
     return 100.0 * (injected - clean) / clean if clean > 0 else 0.0
 
 
+def src_lines() -> int:
+    """Physical lines of every Python file under ``src/repro``."""
+    total = 0
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        with path.open("rb") as fh:
+            total += sum(1 for _ in fh)
+    return total
+
+
 def build_report(jobs: int) -> Dict[str, object]:
     series = run_grid(jobs)
     series.update(runner_throughput(jobs))
     series["runner.retry_overhead_pct"] = retry_overhead_pct(jobs)
     series["sanitizer.overhead_pct"] = sanitizer_overhead_pct()
     series["calibration.probe_s"] = calibration_probe()
+    series["code.src_lines"] = src_lines()
     return {
         "schema": SCHEMA,
         "git_sha": _git_sha(),

@@ -18,10 +18,6 @@ re-simulate.  This is also the checkpoint/resume story: completed-cell
 keys live in the manifest, so a killed campaign warm-starts from exactly
 the cells it finished.
 
-Entries written by pre-pack versions of this cache (one
-``ab/<key>.json`` file per record) remain readable: keys absent from the
-manifest fall back to the per-file path.
-
 Invalidation is automatic and content-based: the key hashes the full
 workflow document, cluster spec, scheduler params and run configuration,
 so editing any of them simply addresses a different entry.  ``clear()``
@@ -115,12 +111,6 @@ class ResultCache:
     # ------------------------------------------------------------------ #
     # paths                                                              #
     # ------------------------------------------------------------------ #
-
-    def path_for(self, key: str) -> str:
-        """Legacy per-file entry path for a hex key (two-level sharding)."""
-        if len(key) < 3:
-            raise ValueError(f"cache key too short: {key!r}")
-        return os.path.join(self.root, key[:2], f"{key}.json")
 
     @property
     def index_path(self) -> str:
@@ -227,7 +217,8 @@ class ResultCache:
         self._read_your_writes()
         located = self._load_index().get(key)
         if located is None:
-            return self._legacy_get(key)
+            self.stats.misses += 1
+            return None
         pack_rel, offset, length = located
         try:
             with open(os.path.join(self.root, pack_rel), "rb") as fh:
@@ -258,9 +249,7 @@ class ResultCache:
             seen.add(key)
             located = index.get(key)
             if located is None:
-                record = self._legacy_get(key)
-                if record is not None:
-                    out[key] = record
+                self.stats.misses += 1
                 continue
             pack_rel, offset, length = located
             by_pack.setdefault(pack_rel, []).append((offset, length, key))
@@ -283,21 +272,6 @@ class ResultCache:
                         self.stats.errors += 1
                         self.stats.misses += 1
         return out
-
-    def _legacy_get(self, key: str) -> Optional[Dict[str, Any]]:
-        """Read a pre-pack per-file entry; miss when absent/corrupt."""
-        try:
-            with open(self.path_for(key), "r", encoding="utf-8") as fh:
-                record = self._parse_entry(fh.read().encode("utf-8"), key)
-        except FileNotFoundError:
-            self.stats.misses += 1
-            return None
-        except (OSError, ValueError, KeyError, json.JSONDecodeError):
-            self.stats.errors += 1
-            self.stats.misses += 1
-            return None
-        self.stats.count_hit(record)
-        return record
 
     # ------------------------------------------------------------------ #
     # writes                                                             #
@@ -341,29 +315,9 @@ class ResultCache:
     # accounting / maintenance                                           #
     # ------------------------------------------------------------------ #
 
-    def _legacy_dirs(self) -> List[str]:
-        """Two-hex-char legacy shard directories currently on disk."""
-        if not os.path.isdir(self.root):
-            return []
-        out = []
-        for name in sorted(os.listdir(self.root)):
-            if len(name) == 2 and os.path.isdir(os.path.join(self.root, name)):
-                out.append(os.path.join(self.root, name))
-        return out
-
     def __len__(self) -> int:
-        """Number of entries: the manifest count plus any legacy files.
-
-        With a manifest this is O(index size in memory); the directory
-        walk only runs over legacy per-file shard dirs, if any exist.
-        """
-        count = len(self._load_index())
-        for shard_dir in self._legacy_dirs():
-            count += sum(
-                1 for f in os.listdir(shard_dir)
-                if f.endswith(".json") and not f.startswith(".tmp-")
-            )
-        return count
+        """Number of entries: the manifest count, O(1) in memory."""
+        return len(self._load_index())
 
     def clear(self) -> int:
         """Delete every entry (and stray temp files); returns entries removed."""
@@ -380,15 +334,6 @@ class ResultCache:
                     os.unlink(os.path.join(self.packs_path, fname))
                 except OSError:
                     pass
-        for shard_dir in self._legacy_dirs():
-            for fname in sorted(os.listdir(shard_dir)):
-                if fname.endswith(".json"):
-                    is_entry = not fname.startswith(".tmp-")
-                    try:
-                        os.unlink(os.path.join(shard_dir, fname))
-                        removed += int(is_entry)
-                    except OSError:
-                        pass
         self.gc_tmp()
         return removed
 
@@ -400,10 +345,7 @@ class ResultCache:
         after a crash).  Returns the number of files removed.
         """
         removed = 0
-        if not os.path.isdir(self.root):
-            return 0
-        candidates = [self.root, self.packs_path] + self._legacy_dirs()
-        for directory in candidates:
+        for directory in (self.root, self.packs_path):
             if not os.path.isdir(directory):
                 continue
             for fname in sorted(os.listdir(directory)):
@@ -421,7 +363,6 @@ class ResultCache:
         Whole packs are the eviction unit (append-only files cannot be
         holed), so the bound is honoured to within ``pack_max_bytes``.
         The manifest is rewritten atomically.  Returns entries evicted.
-        Legacy per-file entries are not considered.
         """
         index = self._load_index()
         self.close()

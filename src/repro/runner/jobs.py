@@ -38,7 +38,7 @@ import hashlib
 import time
 import traceback as traceback_module
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Union
 
 from repro.runner import specs
 from repro.runner.health import TransientCellError, classify_exception
@@ -110,15 +110,8 @@ class TimingJob:
 
     kind = "timing"
 
-    def payload(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "workflow": self.workflow,
-            "cluster": self.cluster,
-            "scheduler": self.scheduler,
-            "config": self.config,
-            "label": self.label,
-        }
+    #: A sim cell's payload shape, workflow fingerprint included.
+    payload = SimJob.payload
 
 
 def _build_scheduler(spec: Union[str, Dict[str, Any]]):
@@ -128,32 +121,26 @@ def _build_scheduler(spec: Union[str, Dict[str, Any]]):
     return specs.build(spec)
 
 
-#: Deserialized workflows keyed by content fingerprint (preferred: the
-#: key survives pickling across the process boundary) or by document
-#: identity (fallback for payloads without a fingerprint).  Campaign
-#: builders share one document across the cells of a grid row (e.g. the
-#: 8 golden scheduler cells per suite), so workers rebuild each workflow
-#: once per distinct document — keeping its lazily-built graph caches
-#: warm — instead of once per cell.  Identity entries hold a strong
-#: reference to the document, which keeps its ``id`` valid for the
-#: lifetime of the entry; the ``is`` check makes a stale hit impossible
-#: either way.
-_workflow_memo: Dict[object, tuple] = {}
+#: Deserialized workflows keyed by content fingerprint (the key survives
+#: pickling across the process boundary).  Campaign builders share one
+#: document across the cells of a grid row (e.g. the 8 golden scheduler
+#: cells per suite), so workers rebuild each workflow once per distinct
+#: document — keeping its lazily-built graph caches warm — instead of
+#: once per cell.
+_workflow_memo: Dict[str, Any] = {}
 _WORKFLOW_MEMO_MAX = 16
 
 
-def _workflow_for(doc: Dict[str, Any], fingerprint: Optional[str] = None):
-    """The Workflow for ``doc``, memoized by fingerprint or identity."""
+def _workflow_for(doc: Dict[str, Any], fingerprint: str):
+    """The Workflow for ``doc``, memoized by its content fingerprint."""
     from repro.workflows.serialize import workflow_from_dict
 
-    memo_key: object = fingerprint if fingerprint is not None else id(doc)
-    entry = _workflow_memo.get(memo_key)
-    if entry is not None and (fingerprint is not None or entry[0] is doc):
-        return entry[1]
-    wf = workflow_from_dict(doc)
-    if len(_workflow_memo) >= _WORKFLOW_MEMO_MAX:
-        _workflow_memo.clear()
-    _workflow_memo[memo_key] = (doc, wf)
+    wf = _workflow_memo.get(fingerprint)
+    if wf is None:
+        wf = workflow_from_dict(doc)
+        if len(_workflow_memo) >= _WORKFLOW_MEMO_MAX:
+            _workflow_memo.clear()
+        _workflow_memo[fingerprint] = wf
     return wf
 
 
@@ -195,16 +182,16 @@ def _plan_key(payload: Dict[str, Any], config) -> tuple:
 def _checkout_plan(payload: Dict[str, Any], config) -> tuple:
     """(workflow, cluster, context, key) for one run of a cell.
 
-    Static-mode cells carrying a workflow fingerprint take their context
-    out of ``_plan_memo`` (building it on a miss); the caller owns it,
-    and its cluster, until it hands it back with ``_checkin_plan``.
-    Other cells get a fresh workflow lookup and cluster, context and key
-    None, and the run builds its own context.
+    Static-mode cells take their context out of ``_plan_memo``
+    (building it on a miss); the caller owns it, and its cluster, until
+    it hands it back with ``_checkin_plan``.  Other cells get a fresh
+    workflow lookup and cluster, context and key None, and the run
+    builds its own context.
     """
     from repro.core.orchestrator import planning_context
 
-    fp = payload.get("workflow_fp")
-    if config.mode != "static" or fp is None:
+    fp = payload["workflow_fp"]
+    if config.mode != "static":
         return (
             _workflow_for(payload["workflow"], fp),
             specs.build(payload["cluster"]),
@@ -317,7 +304,7 @@ def execute_timing(payload: Dict[str, Any]) -> Dict[str, Any]:
     from repro.schedulers.base import SchedulingContext
 
     try:
-        wf = _workflow_for(payload["workflow"])
+        wf = _workflow_for(payload["workflow"], payload["workflow_fp"])
         cluster = specs.build(payload["cluster"])
         scheduler = _build_scheduler(payload["scheduler"])
         if isinstance(scheduler, str):

@@ -52,8 +52,7 @@ terminated by a GC finalizer.
 Start method: ``forkserver`` where available (avoids the
 fork-in-threaded-process ``DeprecationWarning`` on Python 3.12+ while
 keeping warm-import workers via preload), falling back to ``fork`` then
-``spawn``; ``REPRO_START_METHOD`` forces a specific method and
-``REPRO_CHUNKSIZE`` overrides the dispatch chunk size.
+``spawn``; ``REPRO_START_METHOD`` forces a specific method.
 """
 
 from __future__ import annotations
@@ -312,17 +311,7 @@ class CampaignRunner:
         mode = failure_mode or self.failure_mode
         jobs = list(sim_jobs)
         keys = [cache_key(job) for job in jobs]
-
-        hits: Dict[str, dict] = {}
-        if self.cache is not None:
-            hits = self.cache.get_many(keys)
-            if mode == "raise" or self.retry_failed:
-                # Cached failures are recalled only in record mode
-                # (raise-mode callers never wrote them; retry_failed
-                # asks for another shot): the cells simply re-run.
-                hits = {
-                    k: v for k, v in hits.items() if not is_failure_record(v)
-                }
+        hits = self.cache_hits(keys, mode)
 
         #: every submission index waiting on each still-missing key
         waiters: Dict[str, List[int]] = {}
@@ -346,6 +335,23 @@ class CampaignRunner:
         return self._consume_batch(
             jobs, keys, waiters, hits, stream, pooled, mode, inject
         )
+
+    def cache_hits(
+        self, keys: Sequence[str], failure_mode: Optional[str] = None
+    ) -> Dict[str, dict]:
+        """The cached entries that resolve cells, by key: the hit policy.
+
+        Cached failures count only in ``record`` mode and without
+        :attr:`retry_failed` (raise-mode callers never wrote them;
+        ``retry_failed`` asks for another shot): those cells re-run.
+        Both the inline stream and the service worker resolve hits here.
+        """
+        if self.cache is None:
+            return {}
+        hits = self.cache.get_many(keys)
+        if (failure_mode or self.failure_mode) == "raise" or self.retry_failed:
+            hits = {k: v for k, v in hits.items() if not is_failure_record(v)}
+        return hits
 
     def _consume_batch(
         self,
@@ -598,9 +604,20 @@ class CampaignRunner:
     # ---------------------------------------------------------------- #
 
     def run_timings(self, timing_jobs: Sequence[TimingJob]) -> List[TimingRecord]:
-        """Execute scheduling-overhead measurements; never cached."""
-        outputs = self._map([j.payload() for j in timing_jobs])
-        return [TimingRecord.from_dict(out) for out in outputs]
+        """Execute scheduling-overhead measurements; never cached.
+
+        A failing cell raises (its label in the message); the stream is
+        disposed either way, so the pool stays reusable.
+        """
+        items = [(i, job.payload()) for i, job in enumerate(timing_jobs)]
+        records: List[Optional[TimingRecord]] = [None] * len(items)
+        stream, pooled = self._submit(items)
+        try:
+            for i, output in stream:
+                records[i] = TimingRecord.from_dict(output)
+        finally:
+            self._dispose(stream, pooled)
+        return records  # type: ignore[return-value]
 
     # ---------------------------------------------------------------- #
     # execution backends                                               #
@@ -608,9 +625,6 @@ class CampaignRunner:
 
     def _chunksize(self, n: int) -> int:
         """Two chunks per worker, capped so huge batches still pipeline."""
-        override = os.environ.get("REPRO_CHUNKSIZE", "").strip()
-        if override:
-            return max(int(override), 1)
         return max(1, min(32, n // (self.jobs * 2)))
 
     def _submit(
@@ -656,16 +670,6 @@ class CampaignRunner:
                 return
             except Exception:
                 continue
-
-    def _map(self, payloads: List[dict]) -> List[dict]:
-        if not payloads:
-            return []
-        if self.jobs <= 1 or len(payloads) <= 1:
-            return [execute_payload(p) for p in payloads]
-        pool = self._ensure_pool()
-        return pool.map(
-            execute_payload, payloads, chunksize=self._chunksize(len(payloads))
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         where = self.cache.root if self.cache else "off"

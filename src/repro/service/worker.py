@@ -8,7 +8,8 @@ result cache.  Its loop::
     poll:  tick the logical clock, reclaim expired leases, ask the
            health gate for admission
     lease: claim a batch of queued cells (atomic; never double-assigned)
-    run:   mark the batch running, resolve cache hits as ``cached``,
+    run:   mark the batch running, resolve cache hits as ``cached``
+           (under the runner's hit policy, ``retry_failed`` included),
            execute the misses through the exact inline campaign path
            (same construction, same retry/quarantine classification,
            same cache writes — byte-identical records by construction),
@@ -226,10 +227,9 @@ class ServiceWorker:
 
         # Cells another client already computed resolve as ``cached``
         # without touching the pool — the shared-cache payoff the store
-        # surfaces as its own state.
-        hits: Dict[str, dict] = {}
-        if self.runner.cache is not None:
-            hits = self.runner.cache.get_many(keys)
+        # surfaces as its own state.  The runner's hit policy decides,
+        # so ``retry_failed`` re-runs a cached failure here as inline.
+        hits = self.runner.cache_hits(keys)
         miss_indexes: List[int] = []
         for i, cell in enumerate(cells):
             record = hits.get(keys[i])

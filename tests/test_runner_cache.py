@@ -8,6 +8,7 @@ import os
 import pytest
 
 from repro.runner.cache import INDEX_SCHEMA, ResultCache
+from repro.runner.record import FAILURE_SCHEMA
 
 KEY = "ab" + "0" * 62
 KEY2 = "cd" + "1" * 62
@@ -55,12 +56,6 @@ def test_entries_are_packed_and_indexed(cache):
     assert lines[0] == {"schema": INDEX_SCHEMA}
     assert lines[1]["k"] == KEY
     assert lines[1]["p"] == os.path.join("packs", packs[0])
-
-
-def test_short_key_is_rejected(cache):
-    """Keys must be long enough to shard (legacy path contract)."""
-    with pytest.raises(ValueError):
-        cache.path_for("ab")
 
 
 def test_cache_survives_reopen(cache):
@@ -143,26 +138,58 @@ def test_len_is_manifest_count_not_a_walk(cache):
     assert len(cache) == 2
 
 
-def test_legacy_per_file_entries_remain_readable(cache):
-    """Pre-pack ab/<key>.json entries hit on index miss and count in len."""
-    path = cache.path_for(KEY)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"key": KEY, "record": RECORD}, fh)
+def test_unindexed_key_opens_no_file(cache, monkeypatch):
+    """An index miss is a dict lookup: get and get_many open nothing."""
+    cache.put(KEY, RECORD)
+    cache.sync()
+    assert cache.get(KEY) == RECORD  # the index is loaded from here on
+    opened = []
+
+    def refuse(*args, **kwargs):
+        opened.append(args[0] if args else kwargs)
+        raise AssertionError(f"unexpected open of {opened[-1]!r}")
+
+    monkeypatch.setattr("builtins.open", refuse)
+    monkeypatch.setattr(os, "open", refuse)
+    assert cache.get(KEY2) is None
+    assert cache.get_many([KEY2, "ef" + "2" * 62]) == {}
+    assert opened == []
+    assert cache.stats.misses == 3 and cache.stats.errors == 0
+
+
+def test_mixed_hit_miss_corrupt_stats(tmp_path):
+    """Hits, misses, corrupt entries and failure hits fold into CacheStats.
+
+    Each lookup counts once: a hit (a cached failure also as a
+    failure hit), a miss, or a corrupt entry as both an error and a miss.
+    """
+    root = str(tmp_path / "cache")
+    failure = {"kind": FAILURE_SCHEMA, "error_type": "RuntimeError"}
+    writer = ResultCache(root)
+    writer.put(KEY, RECORD)
+    writer.put(KEY2, RECORD)
+    writer.put("ef" + "3" * 62, failure)
+    _corrupt_entry(writer, KEY2)
+    writer.close()
+
+    cache = ResultCache(root)
+    missing = ["01" + "4" * 62, "02" + "5" * 62]
     assert cache.get(KEY) == RECORD
-    assert cache.stats.hits == 1
-    assert len(cache) == 1
-    assert cache.get_many([KEY]) == {KEY: RECORD}
+    assert cache.get(missing[0]) is None
+    out = cache.get_many([KEY, missing[0], KEY2, "ef" + "3" * 62, missing[1]])
+    assert sorted(out) == sorted([KEY, "ef" + "3" * 62])
+    assert cache.get(KEY2) is None
+    assert cache.stats.as_dict() == {
+        "hits": 3, "misses": 5, "puts": 0, "errors": 2, "failure_hits": 1,
+    }
 
 
 def test_clear_removes_everything_including_orphans(cache):
-    """clear() empties packs, manifest, legacy entries and .tmp-* litter."""
+    """clear() empties packs, manifest and .tmp-* litter."""
     cache.put(KEY, RECORD)
-    legacy = cache.path_for(KEY2)
-    os.makedirs(os.path.dirname(legacy), exist_ok=True)
-    with open(legacy, "w", encoding="utf-8") as fh:
-        json.dump({"key": KEY2, "record": RECORD}, fh)
-    orphan = os.path.join(os.path.dirname(legacy), ".tmp-dead.json")
+    cache.put(KEY2, RECORD)
+    cache.sync()
+    orphan = os.path.join(cache.packs_path, ".tmp-dead.json")
     with open(orphan, "w") as fh:
         fh.write("{")
     assert cache.clear() == 2

@@ -7,6 +7,7 @@ import pytest
 from repro.experiments.common import make_job, make_timing_job, preset_spec
 from repro.runner import CampaignRunner, ResultCache
 from repro.runner.context import get_runner, set_runner, use_runner
+from repro.runner.jobs import TimingJob
 from repro.workflows.generators import montage
 
 CLUSTER = preset_spec("hybrid", nodes=2, cores_per_node=2, gpus_per_node=1)
@@ -87,6 +88,29 @@ def test_timing_jobs_are_never_cached(tmp_path):
     assert len(cache) == 0
     assert r1[0].n_tasks == r2[0].n_tasks == wf.n_tasks
     assert r1[0].elapsed_s > 0
+
+
+def test_pooled_timings_keep_submission_order_and_survive_failure():
+    """Pooled timing cells come back by index; a failure leaves the pool up."""
+    sizes = [32, 8, 24, 40, 20]
+    tjobs = [
+        make_timing_job(montage(size=n, seed=5), CLUSTER, scheduler="heft",
+                        label=f"t{n}")
+        for n in sizes
+    ]
+    expected = [montage(size=n, seed=5).n_tasks for n in sizes]
+    assert len(set(expected)) == len(sizes)
+    bad = TimingJob(
+        workflow=tjobs[0].workflow, cluster=CLUSTER,
+        scheduler="no-such-scheduler", label="broken-timing",
+    )
+    with CampaignRunner(jobs=2) as runner:
+        assert [r.n_tasks for r in runner.run_timings(tjobs)] == expected
+        pool = runner._pool
+        with pytest.raises(RuntimeError, match="broken-timing"):
+            runner.run_timings(tjobs[:2] + [bad] + tjobs[2:])
+        assert [r.n_tasks for r in runner.run_timings(tjobs)] == expected
+        assert runner._pool is pool
 
 
 def test_failed_cell_raises_with_label():
@@ -174,14 +198,10 @@ def test_streaming_matches_batch_records():
     assert [r for _, r in ordered] == batch
 
 
-def test_chunksize_env_override(monkeypatch):
-    """REPRO_CHUNKSIZE forces the dispatch chunk size; default is adaptive."""
+def test_chunksize_is_adaptive():
+    """The dispatch chunk size derives from the batch size."""
     runner = CampaignRunner(jobs=4)
     assert runner._chunksize(256) == max(1, min(32, 256 // 8))
-    monkeypatch.setenv("REPRO_CHUNKSIZE", "7")
-    assert runner._chunksize(256) == 7
-    monkeypatch.setenv("REPRO_CHUNKSIZE", "0")
-    assert runner._chunksize(256) == 1  # clamped to a sane floor
 
 
 def test_use_runner_scopes_the_active_runner():

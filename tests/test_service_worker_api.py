@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 import threading
 import urllib.error
 import urllib.request
@@ -50,6 +51,7 @@ def _worker(store, tmp_path, worker_id, cache="cache", **kwargs):
     runner = CampaignRunner(
         jobs=1, cache=ResultCache(str(tmp_path / cache)),
         failure_mode="record", max_retries=kwargs.pop("max_retries", 1),
+        retry_failed=kwargs.pop("retry_failed", False),
     )
     return runner, ServiceWorker(store, runner, worker_id=worker_id, **kwargs)
 
@@ -261,6 +263,44 @@ def test_failure_states_split_failed_from_quarantined(tmp_path, monkeypatch):
     counts = store2.counts(cid2)
     assert counts[QUARANTINED] == 2
     store2.close()
+
+
+def test_worker_retry_failed_reruns_a_cached_failure(tmp_path, monkeypatch):
+    """--retry-failed re-simulates a cached failure, as the inline runner does."""
+    jobs = _jobs(3, seed=41, prefix="rf")
+    monkeypatch.setenv("REPRO_FAIL_INJECT", json.dumps(
+        {"rate": 0.0, "seed": 1, "poison": [jobs[1].label]}
+    ))
+    with CampaignRunner(
+        jobs=1, cache=ResultCache(str(tmp_path / "cache")),
+        failure_mode="record",
+    ) as seeding:
+        seeding.run_sims(jobs)
+    assert seeding.failed == 1
+    monkeypatch.delenv("REPRO_FAIL_INJECT")
+    shutil.copytree(tmp_path / "cache", tmp_path / "inline-cache")
+
+    store = JobStore(str(tmp_path / "store.db"))
+    cid = store.submit("retry", jobs)
+    runner, worker = _worker(store, tmp_path, "w1", retry_failed=True)
+    with runner:
+        stats = worker.run(max_polls=40)
+    assert (stats.done, stats.cached) == (1, 2)
+    assert runner.simulated == 1
+    retried = store.cell(cid, cache_key(jobs[1]))
+    assert retried["state"] == DONE
+
+    with CampaignRunner(
+        jobs=1, cache=ResultCache(str(tmp_path / "inline-cache")),
+        failure_mode="record", retry_failed=True,
+    ) as inline:
+        reference = inline.run_sims(jobs)
+    assert inline.simulated == 1
+    assert (
+        json.dumps(retried["result"], sort_keys=True)
+        == json.dumps(reference[1].to_dict(), sort_keys=True)
+    )
+    store.close()
 
 
 def test_worker_rejects_raise_mode_runners(tmp_path):
