@@ -27,8 +27,8 @@ from repro.platform.cluster import Cluster
 from repro.schedulers import REGISTRY
 from repro.schedulers.base import Scheduler, SchedulingContext
 from repro.schedulers.schedule import Schedule
+from repro.staticcheck.workflow_checks import validate_workflow
 from repro.workflows.graph import Workflow
-from repro.workflows.validate import validate_workflow
 
 #: Execution modes the orchestrator supports.
 MODES = ("static", "dynamic", "adaptive")

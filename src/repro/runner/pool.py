@@ -1,7 +1,22 @@
 """The streaming process-pool campaign runner with memoization.
 
-:class:`CampaignRunner` takes batches of simulation cells and returns
-records in input order.  Five properties the test layer pins down:
+One core decides what happens to a simulation cell:
+:meth:`CampaignRunner.stream` takes the jobs with their cache keys,
+applies the hit policy, dedupes waiters, dispatches the misses, retries
+and quarantines, writes and syncs the cache, and yields
+``(index, outcome, recalled)``.  It has three consumers:
+
+* :meth:`~CampaignRunner.run_sims_iter` hashes the jobs and streams
+  ``(index, outcome)`` in completion order; :meth:`~CampaignRunner.run_sims`
+  collects that stream into a list in submission order.
+* :meth:`~CampaignRunner.run_sims_ordered`, the one ordered wrapper,
+  re-sequences it through a bounded reorder buffer, and
+  :meth:`~CampaignRunner.run_batches` admits batches of it under the
+  health gate with a feed-ahead runway.
+* The service worker (:mod:`repro.service.worker`) calls the core with
+  the store's cell keys and maps ``recalled`` to the ``cached`` state.
+
+Properties the test layer pins down:
 
 * **Determinism** — every cell is executed from its data description via
   the same construction path (see :mod:`repro.runner.jobs`), so
@@ -9,16 +24,12 @@ records in input order.  Five properties the test layer pins down:
 * **Memoization** — with a cache attached, completed cells are stored
   under their content hash; a warm rerun only simulates new cells.
   Duplicate cells *within* one batch are simulated once and fanned back
-  to every requesting index.  Hit resolution is batched
-  (:meth:`~repro.runner.cache.ResultCache.get_many`): one index load
-  plus one sequential read per pack, not one ``open()`` per cell.
-* **Order independence** — :meth:`run_sims` returns results in
-  submission order regardless of worker completion order (index-tagged
-  payloads, reassembled on arrival).
-* **Streaming** — :meth:`run_sims_iter` yields ``(index, record)`` as
-  cells complete (``imap_unordered`` pipelined dispatch): cache puts and
-  downstream aggregation happen while later cells are still simulating,
-  and nothing forces the whole batch to be held in memory at once.
+  to every requesting index.  Hit resolution is one batched
+  :meth:`~repro.runner.cache.ResultCache.get_many` per batch.
+* **Streaming** — misses are dispatched when the core starts, before
+  the first outcome is asked for; outcomes stream out as workers finish
+  (``imap_unordered`` pipelined dispatch), so cache puts and downstream
+  aggregation overlap simulation.
 * **Fault tolerance** — workers return structured
   :class:`~repro.runner.record.CellFailure` records instead of raising
   (see :mod:`repro.runner.jobs`).  Transient failures are retried in
@@ -26,15 +37,14 @@ records in input order.  Five properties the test layer pins down:
   in the :attr:`quarantine` (and, in ``record`` mode, in the cache,
   content-addressed like successes).  A :class:`HealthTracker` folds
   every outcome into the campaign health model
-  (:mod:`repro.runner.health`), and :meth:`run_batches` gates batch
-  admission on it with a feed-ahead runway.
+  (:mod:`repro.runner.health`).
 
 Failure modes: ``failure_mode="raise"`` (the default) re-raises the
 first quarantined failure as :class:`CampaignCellError` — the historic
-contract experiment code relies on — while still leaving the pool and
-both streaming generators reusable afterward.  ``failure_mode="record"``
-streams :class:`CellFailure` outcomes to the caller like records, the
-shape unattended campaigns need.
+contract experiment code relies on — while still leaving the pool
+reusable afterward.  ``failure_mode="record"`` streams
+:class:`CellFailure` outcomes to the caller like records, the shape
+unattended campaigns and service workers need.
 
 Retry scheduling is **bit-deterministic**: whether a failure retries
 depends only on its category and attempt count, and attempt ``k+1`` of
@@ -52,7 +62,7 @@ terminated by a GC finalizer.
 Start method: ``forkserver`` where available (avoids the
 fork-in-threaded-process ``DeprecationWarning`` on Python 3.12+ while
 keeping warm-import workers via preload), falling back to ``fork`` then
-``spawn``; ``REPRO_START_METHOD`` forces a specific method.
+``spawn``.
 """
 
 from __future__ import annotations
@@ -160,21 +170,13 @@ def _pool_context():
     ``forkserver`` workers fork from a clean single-threaded server
     process (no stale parent threads/locks, no py3.12 fork deprecation)
     that pre-imports the simulator, so spawning stays cheap.
-    ``REPRO_START_METHOD`` forces one method (e.g. for debugging spawn
-    path portability).
     """
     methods = multiprocessing.get_all_start_methods()
-    forced = os.environ.get("REPRO_START_METHOD", "").strip()
-    order = [forced] if forced else ["forkserver", "fork", "spawn"]
-    for method in order:
-        if method in methods:
-            ctx = multiprocessing.get_context(method)
-            if method == "forkserver":
-                ctx.set_forkserver_preload(["repro.core"])
-            return ctx
-    raise ValueError(
-        f"no usable start method in {order}; platform offers {methods}"
-    )
+    method = next((m for m in ("forkserver", "fork") if m in methods), "spawn")
+    ctx = multiprocessing.get_context(method)
+    if method == "forkserver":
+        ctx.set_forkserver_preload(["repro.core"])
+    return ctx
 
 
 def _execute_indexed(item: Tuple[int, dict]) -> Tuple[int, dict]:
@@ -275,137 +277,101 @@ class CampaignRunner:
         """
         jobs = list(sim_jobs)
         records: List[Optional[Outcome]] = [None] * len(jobs)
-        for i, record in self.run_sims_ordered(jobs):
+        for i, record in self.run_sims_iter(jobs):
             records[i] = record
         return records  # type: ignore[return-value]
 
     def run_sims_iter(
-        self, sim_jobs: Sequence[SimJob], *, failure_mode: Optional[str] = None
+        self, sim_jobs: Sequence[SimJob]
     ) -> Iterator[Tuple[int, Outcome]]:
-        """Yield ``(index, outcome)`` as cells complete.
+        """Hash each cell and yield ``(index, outcome)`` from :meth:`stream`.
 
         Cache hits come first (in submission order); misses follow in
-        *completion* order as the pool finishes them — each one is
-        written to the cache and handed to the caller immediately, so
-        aggregation and checkpointing overlap simulation.  Use
-        :meth:`run_sims_ordered` when the consumer needs submission
-        order with streaming memory behaviour.
+        *completion* order.  Use :meth:`run_sims_ordered` when the
+        consumer needs submission order with streaming memory behaviour.
+        """
+        outcomes = self._stream_jobs(sim_jobs)
+        return ((i, outcome) for i, outcome, _recalled in outcomes)
 
-        Pool dispatch is **eager**: misses are submitted when this is
-        called, not when the returned iterator is first advanced —
-        that's what gives :meth:`run_batches` real feed-ahead lead time.
+    def _stream_jobs(
+        self, sim_jobs: Sequence[SimJob]
+    ) -> Iterator[Tuple[int, Outcome, bool]]:
+        """:meth:`stream` over jobs hashed here: the inline entry."""
+        jobs = list(sim_jobs)
+        return self.stream(jobs, [cache_key(job) for job in jobs])
+
+    def stream(
+        self, jobs: Sequence[SimJob], keys: Sequence[str]
+    ) -> Iterator[Tuple[int, Outcome, bool]]:
+        """Yield ``(index, outcome, recalled)`` for cells with known keys.
+
+        ``keys[i]`` must be ``cache_key(jobs[i])``.  Dispatch is
+        **eager**: the misses are in the pool when this returns, not
+        when the iterator is first advanced — that is what gives
+        :meth:`run_batches` real feed-ahead lead time.  ``recalled``
+        marks an outcome read from the cache rather than executed.
 
         Transient worker failures retry in deterministic rounds (at most
         :attr:`max_retries` extra attempts per cell); exhausted cells
-        are quarantined and either re-raised (``raise`` mode, the
-        default) or streamed as :class:`CellFailure` (``record`` mode,
-        also persisted content-addressed in the cache so a resumed
-        campaign recalls instead of re-failing them).
+        are quarantined and either re-raised (``raise`` mode) or yielded
+        as :class:`CellFailure` and cached (``record`` mode), so a
+        resumed campaign recalls instead of re-failing them.
 
         The cache manifest is synced when the batch completes *and* on
         the error path, so every finished cell survives a mid-batch
         crash (the checkpoint/resume contract).  On error or early
-        ``close()`` the in-flight pool iterator is drained/closed, so
-        the pool stays reusable for the next batch.
+        ``close()`` the in-flight pool iterator is drained, so the pool
+        stays reusable for the next batch.
         """
-        mode = failure_mode or self.failure_mode
-        jobs = list(sim_jobs)
-        keys = [cache_key(job) for job in jobs]
-        hits = self.cache_hits(keys, mode)
+        core = self._core(jobs, keys)
+        next(core)  # runs up to the dispatch of the misses
+        return core  # type: ignore[return-value]
 
+    def _core(
+        self, jobs: Sequence[SimJob], keys: Sequence[str]
+    ) -> Iterator[Optional[Tuple[int, Outcome, bool]]]:
+        """The streaming core behind :meth:`stream` (primed there).
+
+        The hit policy: a cached failure resolves its cell only in
+        ``record`` mode and without :attr:`retry_failed` (raise-mode
+        runs never wrote one; ``retry_failed`` asks for another shot);
+        otherwise the cell re-runs.
+        """
+        hits = self.cache.get_many(keys) if self.cache is not None else {}
+        recall_failures = self.failure_mode == "record" and not self.retry_failed
+        recalled: List[Tuple[int, dict]] = []
         #: every submission index waiting on each still-missing key
         waiters: Dict[str, List[int]] = {}
         to_run: List[int] = []
         for i, key in enumerate(keys):
-            if key in hits:
-                continue
-            if key not in waiters:
+            entry = hits.get(key)
+            if entry is not None and (
+                recall_failures or not is_failure_record(entry)
+            ):
+                recalled.append((i, entry))
+            elif key in waiters:
+                waiters[key].append(i)
+            else:
+                waiters[key] = [i]
                 to_run.append(i)
-            waiters.setdefault(key, []).append(i)
 
         inject = inject_spec_from_env()
-        stream: Optional[Iterator[Tuple[int, dict]]] = None
-        pooled = False
-        if to_run:
-            items = [
-                (i, self._payload_for(jobs[i], keys[i], 1, inject))
-                for i in to_run
-            ]
-            stream, pooled = self._submit(items)
-        return self._consume_batch(
-            jobs, keys, waiters, hits, stream, pooled, mode, inject
-        )
-
-    def cache_hits(
-        self, keys: Sequence[str], failure_mode: Optional[str] = None
-    ) -> Dict[str, dict]:
-        """The cached entries that resolve cells, by key: the hit policy.
-
-        Cached failures count only in ``record`` mode and without
-        :attr:`retry_failed` (raise-mode callers never wrote them;
-        ``retry_failed`` asks for another shot): those cells re-run.
-        Both the inline stream and the service worker resolve hits here.
-        """
-        if self.cache is None:
-            return {}
-        hits = self.cache.get_many(keys)
-        if (failure_mode or self.failure_mode) == "raise" or self.retry_failed:
-            hits = {k: v for k, v in hits.items() if not is_failure_record(v)}
-        return hits
-
-    def _consume_batch(
-        self,
-        jobs: List[SimJob],
-        keys: List[str],
-        waiters: Dict[str, List[int]],
-        hits: Dict[str, dict],
-        stream: Optional[Iterator[Tuple[int, dict]]],
-        pooled: bool,
-        mode: str,
-        inject: Optional[Dict[str, Any]],
-    ) -> Iterator[Tuple[int, Outcome]]:
-        """Hits first, then live execution with retry rounds."""
+        attempts: Dict[int, int] = {}
+        stream, pooled = self._submit([
+            (i, self._payload_for(jobs[i], keys[i], 1, inject)) for i in to_run
+        ])
         try:
-            for i, key in enumerate(keys):
-                if key not in hits:
-                    continue
-                entry = hits[key]
+            yield None
+            for i, entry in recalled:
                 if is_failure_record(entry):
                     failure = CellFailure.from_dict(entry)
                     # A previous run quarantined this cell; recall the
                     # verdict without re-simulating (and without feeding
                     # historical failures into this run's health).
-                    self.quarantine.setdefault(key, failure)
-                    yield i, failure
+                    self.quarantine.setdefault(keys[i], failure)
+                    yield i, failure, True
                 else:
-                    yield i, SimRecord.from_dict(entry)
-            if stream is not None:
-                yield from self._stream_execute(
-                    jobs, keys, waiters, stream, pooled, mode, inject
-                )
-        finally:
-            if self.cache is not None:
-                self.cache.sync()
-
-    def _stream_execute(
-        self,
-        jobs: List[SimJob],
-        keys: List[str],
-        waiters: Dict[str, List[int]],
-        stream: Iterator[Tuple[int, dict]],
-        pooled: bool,
-        mode: str,
-        inject: Optional[Dict[str, Any]],
-    ) -> Iterator[Tuple[int, Outcome]]:
-        """Consume worker outputs; retry transients in rounds; quarantine.
-
-        The ``finally`` disposes whatever stream is current — draining a
-        pool iterator (so the persistent pool is reusable after an error
-        or an abandoned generator) or closing the serial generator (so
-        an aborted serial batch does not keep executing cells).
-        """
-        attempts: Dict[int, int] = {}
-        try:
+                    yield i, SimRecord.from_dict(entry), True
             while True:
                 retry_next: List[int] = []
                 for first_index, output in stream:
@@ -427,12 +393,12 @@ class CampaignRunner:
                             ok=False, category=failure.category,
                             error_type=failure.error_type, retried=att > 1,
                         ))
-                        if mode == "raise":
+                        if self.failure_mode == "raise":
                             raise CampaignCellError(failure)
                         if self.cache is not None:
                             self.cache.put(key, failure.to_dict())
                         for waiter in waiters[key]:
-                            yield waiter, failure
+                            yield waiter, failure, False
                     else:
                         self.simulated += 1
                         if self.cache is not None:
@@ -443,7 +409,7 @@ class CampaignRunner:
                             sim_success=record.success,
                         ))
                         for waiter in waiters[key]:
-                            yield waiter, record
+                            yield waiter, record, False
                     self._gate_check()
                 if not retry_next:
                     return
@@ -463,6 +429,8 @@ class CampaignRunner:
                 stream, pooled = self._submit(round_items)
         finally:
             self._dispose(stream, pooled)
+            if self.cache is not None:
+                self.cache.sync()
 
     def _payload_for(
         self,
@@ -491,7 +459,7 @@ class CampaignRunner:
             raise CampaignHaltedError(decision)
 
     def run_sims_ordered(
-        self, sim_jobs: Sequence[SimJob], *, failure_mode: Optional[str] = None
+        self, sim_jobs: Sequence[SimJob]
     ) -> Iterator[Tuple[int, Outcome]]:
         """Stream outcomes in submission order.
 
@@ -503,11 +471,11 @@ class CampaignRunner:
         an abandoned ordered stream never strands the reorder buffer or
         the pool's in-flight iterator.
         """
-        inner = self.run_sims_iter(sim_jobs, failure_mode=failure_mode)
+        inner = self._stream_jobs(sim_jobs)
         reorder: Dict[int, Outcome] = {}
         next_index = 0
         try:
-            for i, record in inner:
+            for i, record, _recalled in inner:
                 reorder[i] = record
                 while next_index in reorder:
                     yield next_index, reorder.pop(next_index)
@@ -525,7 +493,6 @@ class CampaignRunner:
         batches: Iterable[Sequence[SimJob]],
         *,
         runway: int = 2,
-        failure_mode: str = "record",
     ) -> Iterator[Tuple[int, int, Outcome]]:
         """Run a stream of batches under health-gated, feed-ahead admission.
 
@@ -539,17 +506,17 @@ class CampaignRunner:
         :class:`CampaignHaltedError` — every decision is emitted as a
         ``campaign.gate`` observe event.
 
-        Defaults to ``record`` failure mode: unattended campaigns treat
-        per-cell failure as data.  On halt, batches already admitted are
-        not awaited (their workers finish in the background and their
-        results are discarded); cells completed before the halt are
+        Unattended campaigns run this on a ``record``-mode runner, which
+        treats per-cell failure as data.  On halt, batches already
+        admitted are drained and their results discarded, so the pool
+        is clean for the next call; cells completed before the halt are
         already in the cache.
 
         Cells duplicated *across* in-flight batches may simulate twice
         (a batch is admitted before the previous one has written its
         results); within a batch they still dedupe.
         """
-        pending: Deque[Tuple[int, Iterator[Tuple[int, Outcome]]]] = deque()
+        pending: Deque[Tuple[int, Iterator[Tuple[int, Outcome, bool]]]] = deque()
         batches_iter = iter(batches)
         batch_no = 0
         exhausted = False
@@ -571,15 +538,13 @@ class CampaignRunner:
                     except StopIteration:
                         exhausted = True
                         break
-                    pending.append((batch_no, self.run_sims_iter(
-                        list(batch), failure_mode=failure_mode,
-                    )))
+                    pending.append((batch_no, self._stream_jobs(batch)))
                     batch_no += 1
                 if not pending:
                     break
                 bno, gen = pending.popleft()
                 try:
-                    for i, outcome in gen:
+                    for i, outcome, _recalled in gen:
                         yield bno, i, outcome
                 finally:
                     gen.close()

@@ -8,12 +8,12 @@ result cache.  Its loop::
     poll:  tick the logical clock, reclaim expired leases, ask the
            health gate for admission
     lease: claim a batch of queued cells (atomic; never double-assigned)
-    run:   mark the batch running, resolve cache hits as ``cached``
-           (under the runner's hit policy, ``retry_failed`` included),
-           execute the misses through the exact inline campaign path
-           (same construction, same retry/quarantine classification,
-           same cache writes — byte-identical records by construction),
-           heartbeating the lease as outcomes stream in
+    run:   mark the batch running and stream it through the runner's
+           one core (:meth:`~repro.runner.pool.CampaignRunner.stream`)
+           with the store's cell keys: the same hit policy, retry/
+           quarantine classification and cache writes as an inline
+           campaign — byte-identical records by construction —
+           heartbeating the lease as executed outcomes land
     done:  token-guarded completion per cell; stale tokens mean the
            lease was reclaimed while we ran and our verdict is discarded
 
@@ -42,13 +42,14 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from contextlib import closing
+from dataclasses import dataclass
+from typing import Any, Dict, Optional
 
 from repro.observe.events import emit_event
 from repro.runner.health import HALT, TRANSIENT
-from repro.runner.pool import CampaignHaltedError, CampaignRunner
-from repro.runner.record import CellFailure, is_failure_record
+from repro.runner.pool import CampaignHaltedError, CampaignRunner, Outcome
+from repro.runner.record import CellFailure
 from repro.service.store import (
     CACHED,
     DONE,
@@ -85,7 +86,6 @@ class WorkerStats:
     reclaimed: int = 0
     released: int = 0
     halted: bool = False
-    by_state: Dict[str, int] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, Any]:
         out = {
@@ -123,8 +123,8 @@ class ServiceWorker:
     ) -> None:
         if runner.failure_mode != "record":
             raise ValueError(
-                "service workers need failure_mode='record': per-cell "
-                "failures are store rows, not exceptions"
+                "service workers need a runner in 'record' failure mode: "
+                "per-cell failures are store rows, not exceptions"
             )
         self.store = store
         self.runner = runner
@@ -223,52 +223,38 @@ class ServiceWorker:
             job_from_wire(cell.job, where=f"store cell {cell.key}")
             for cell in cells
         ]
-        keys = [cell.key for cell in cells]
-
-        # Cells another client already computed resolve as ``cached``
-        # without touching the pool — the shared-cache payoff the store
-        # surfaces as its own state.  The runner's hit policy decides,
-        # so ``retry_failed`` re-runs a cached failure here as inline.
-        hits = self.runner.cache_hits(keys)
-        miss_indexes: List[int] = []
-        for i, cell in enumerate(cells):
-            record = hits.get(keys[i])
-            if record is None:
-                miss_indexes.append(i)
-                continue
-            self._finish(cell.campaign_id, cell.key, token, CACHED, record)
-
-        if not miss_indexes:
-            return
-        miss_jobs = [jobs[i] for i in miss_indexes]
-        for j, outcome in self.runner.run_sims_iter(
-            miss_jobs, failure_mode="record"
-        ):
-            cell = cells[miss_indexes[j]]
-            # Live leases never expire: the heartbeat pushes expiry out
-            # by a full TTL every time a result lands.
-            self.store.heartbeat(token, self.ttl)
-            record = outcome.to_dict()
-            self._finish(
-                cell.campaign_id, cell.key, token,
-                self._terminal_state(record), record,
-            )
+        # The store keyed each cell by this very job's content hash at
+        # submit, so the runner's core takes the keys as they are.
+        with closing(
+            self.runner.stream(jobs, [cell.key for cell in cells])
+        ) as outcomes:
+            for i, outcome, recalled in outcomes:
+                cell = cells[i]
+                if not recalled:
+                    # Live leases never expire: the heartbeat pushes
+                    # expiry out by a full TTL every time a result lands.
+                    self.store.heartbeat(token, self.ttl)
+                self._finish(
+                    cell.campaign_id, cell.key, token,
+                    self._terminal_state(outcome, recalled),
+                    outcome.to_dict(),
+                )
 
     @staticmethod
-    def _terminal_state(record: Dict[str, Any]) -> str:
-        """Map an execution outcome to its store state.
+    def _terminal_state(outcome: Outcome, recalled: bool) -> str:
+        """Map a streamed outcome to its store state.
 
-        Successes are ``done``.  Failures reuse the
+        A success is ``done``, or ``cached`` when it was recalled from
+        the shared cache.  Failures, recalled or not, reuse the
         :class:`CellFailure` classification unchanged: a retryable
         (transient-category) failure that still failed means the retry
         loop gave up on the cell — ``quarantined``, like any failure
         that burned more than one attempt.  A first-attempt permanent/
         infrastructure verdict is a plain ``failed``.
         """
-        if not is_failure_record(record):
-            return DONE
-        failure = CellFailure.from_dict(record)
-        if failure.category == TRANSIENT or failure.attempts > 1:
+        if not isinstance(outcome, CellFailure):
+            return CACHED if recalled else DONE
+        if outcome.category == TRANSIENT or outcome.attempts > 1:
             return QUARANTINED
         return FAILED
 

@@ -13,7 +13,7 @@ from repro.workflows.ensemble import (
     split_member,
 )
 from repro.workflows.generators import blast, montage
-from repro.workflows.validate import validate_workflow
+from repro.staticcheck.workflow_checks import validate_workflow
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ from repro.workflows.generators import (
     random_dag,
     sipht,
 )
-from repro.workflows.validate import validate_workflow
+from repro.staticcheck.workflow_checks import validate_workflow
 
 
 class TestGeneric:

@@ -82,6 +82,51 @@ def test_worker_drains_store_with_byte_identical_records(tmp_path):
     store.close()
 
 
+def test_worker_hashes_and_looks_up_each_cell_once(tmp_path, monkeypatch):
+    """One lease: no re-hashing of store keys, one cache lookup per cell."""
+    import repro.runner.pool as pool
+
+    jobs = _jobs(6, seed=37, prefix="once")
+    with CampaignRunner(
+        jobs=1, cache=ResultCache(str(tmp_path / "cache")),
+        failure_mode="record",
+    ) as seeding:
+        seeding.run_sims(jobs[:1])  # one of the six is a cache hit
+    store = JobStore(str(tmp_path / "store.db"))
+    cid = store.submit("once", jobs)
+
+    calls = {"cache_key": 0, "get_many": 0}
+    real_cache_key, real_get_many = pool.cache_key, ResultCache.get_many
+
+    def counting_cache_key(job):
+        calls["cache_key"] += 1
+        return real_cache_key(job)
+
+    def counting_get_many(cache, keys):
+        keys = list(keys)
+        calls["get_many"] += len(keys)
+        return real_get_many(cache, keys)
+
+    monkeypatch.setattr(pool, "cache_key", counting_cache_key)
+    monkeypatch.setattr(ResultCache, "get_many", counting_get_many)
+    runner, worker = _worker(store, tmp_path, "w1", batch=6)
+    with runner:
+        stats = worker.run(max_polls=40)
+    monkeypatch.undo()
+
+    assert (stats.leases, stats.done, stats.cached) == (1, 5, 1)
+    assert calls == {"cache_key": 0, "get_many": 6}
+    with CampaignRunner(jobs=1) as inline:
+        reference = inline.run_sims(jobs)
+    for job, record in zip(jobs, reference):
+        stored = store.cell(cid, cache_key(job))["result"]
+        assert (
+            json.dumps(stored, sort_keys=True)
+            == json.dumps(record.to_dict(), sort_keys=True)
+        )
+    store.close()
+
+
 def test_resubmission_resolves_from_the_shared_cache(tmp_path):
     jobs = _jobs(5)
     store = JobStore(str(tmp_path / "store.db"))
@@ -265,8 +310,15 @@ def test_failure_states_split_failed_from_quarantined(tmp_path, monkeypatch):
     store2.close()
 
 
-def test_worker_retry_failed_reruns_a_cached_failure(tmp_path, monkeypatch):
-    """--retry-failed re-simulates a cached failure, as the inline runner does."""
+@pytest.mark.parametrize("retry_failed", [False, True])
+def test_worker_retry_failed_reruns_a_cached_failure(
+    tmp_path, monkeypatch, retry_failed
+):
+    """A cached failure is recalled as ``failed``, or re-run on request.
+
+    Without --retry-failed the recalled verdict lands as a failure, not
+    ``cached``; with it the cell re-simulates, as the inline runner does.
+    """
     jobs = _jobs(3, seed=41, prefix="rf")
     monkeypatch.setenv("REPRO_FAIL_INJECT", json.dumps(
         {"rate": 0.0, "seed": 1, "poison": [jobs[1].label]}
@@ -282,13 +334,27 @@ def test_worker_retry_failed_reruns_a_cached_failure(tmp_path, monkeypatch):
 
     store = JobStore(str(tmp_path / "store.db"))
     cid = store.submit("retry", jobs)
-    runner, worker = _worker(store, tmp_path, "w1", retry_failed=True)
+    runner, worker = _worker(store, tmp_path, "w1", retry_failed=retry_failed)
     with runner:
         stats = worker.run(max_polls=40)
+    cell = store.cell(cid, cache_key(jobs[1]))
+
+    if not retry_failed:
+        assert (stats.done, stats.cached, stats.failed) == (0, 2, 1)
+        assert runner.simulated == 0
+        assert cell["state"] == FAILED
+        with ResultCache(str(tmp_path / "inline-cache")) as cache:
+            cached = cache.get(cache_key(jobs[1]))
+        assert (
+            json.dumps(cell["result"], sort_keys=True)
+            == json.dumps(cached, sort_keys=True)
+        )
+        store.close()
+        return
+
     assert (stats.done, stats.cached) == (1, 2)
     assert runner.simulated == 1
-    retried = store.cell(cid, cache_key(jobs[1]))
-    assert retried["state"] == DONE
+    assert cell["state"] == DONE
 
     with CampaignRunner(
         jobs=1, cache=ResultCache(str(tmp_path / "inline-cache")),
@@ -297,7 +363,7 @@ def test_worker_retry_failed_reruns_a_cached_failure(tmp_path, monkeypatch):
         reference = inline.run_sims(jobs)
     assert inline.simulated == 1
     assert (
-        json.dumps(retried["result"], sort_keys=True)
+        json.dumps(cell["result"], sort_keys=True)
         == json.dumps(reference[1].to_dict(), sort_keys=True)
     )
     store.close()
